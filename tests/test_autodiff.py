@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import hyperflow.autodiff as ad
@@ -151,6 +152,71 @@ def test_backward_gradient_shapes_match_values():
     tape.backward(loss)
     for node in tape.nodes:
         assert node.grad is not None and node.grad.shape == node.data.shape
+
+
+def test_untaped_ops_record_no_graph():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    v = Tensor(rng.normal(size=(2,)), requires_grad=True)
+    outs = [
+        ad.matmul(x, w), ad.sparse_matmul(sp.identity(6, format="csr"), x),
+        ad.hadamard(x, x), ad.add(x, x), ad.add(x, v), ad.sub(x, x), ad.scale(x, 2.0),
+        ad.relu(x), ad.absolute(x), ad.mean_all(x), ad.sum_all(x), ad.transpose(x),
+        ad.concat_cols(x, x), ad.slice_rows(x, 1, 3), ad.tile_rows(x, 2), ad.repeat_rows(x, 2),
+        ad.window_max_rows(x, 1, 3, 2), ad.window_max_rows(x, 3, 3, 2),
+        ad.mean_over_time(x, 3, 2), ad.softmax_vec(v), ad.linear_combination([x, x], v),
+    ]
+    for out in outs:
+        assert out.parents == () and out._vjp is None, out.op
+
+    const = ad.matmul(x, w)  # used inside a tape, it is a constant
+    with Tape() as tape:
+        loss = ad.sum_all(ad.hadamard(const, ad.scale(const, 1.0)))
+    tape.backward(loss)
+    assert x.grad is None and w.grad is None and const.grad is None
+    assert [node.op for node in tape.nodes] == ["scale", "hadamard", "sum_all"]
+
+
+def test_backward_shared_gradients_are_never_written_in_place():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with Tape() as tape:
+        y = ad.scale(x, 1.0)
+        doubled = ad.add(y, y)
+        total = ad.add(doubled, x)  # the leaf's first contribution is a shared array
+        loss = ad.sum_all(total)
+    tape.backward(loss)
+    np.testing.assert_array_equal(y.grad, np.full((2, 3), 2.0))
+    np.testing.assert_array_equal(doubled.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(total.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+    before = [node.grad.copy() for node in tape.nodes]
+    x.grad += 100.0
+    x.grad[0, 0] = -1.0
+    for node, grad in zip(tape.nodes, before):
+        np.testing.assert_array_equal(node.grad, grad)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 6])
+def test_window_max_gradient_goes_to_earliest_maximizer(window):
+    rng = np.random.default_rng(window)
+    t, n, d = 6, 3, 4
+    a = rng.integers(0, 3, size=(t * n, d)).astype(float)  # many tied maxima
+    g = rng.normal(size=(t // window * n, d))
+    x = Tensor(a, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.hadamard(ad.window_max_rows(x, window, t, n), Tensor(g)))
+    tape.backward(loss)
+    expected = np.zeros_like(a)
+    for b in range(t // window):
+        for i in range(n):
+            for c in range(d):
+                rows = [(b * window + j) * n + i for j in range(window)]
+                earliest = max(rows, key=lambda r: a[r, c])  # max() keeps the first of equals
+                expected[earliest, c] = g[b * n + i, c]
+    np.testing.assert_array_equal(x.grad, expected)
+    assert not np.any(np.signbit(x.grad) & (x.grad == 0))  # no -0.0 from a masked product
 
 
 def test_nan_input_rejected_at_construction():
