@@ -1,8 +1,8 @@
 """Command-line surface: train, eval, predict, synth, verify, bench, export-incidence.
 
 Every command validates its configuration before touching data, routes all
-randomness through --seed, and with --workers 1 is bit-reproducible: two
-identical `train` invocations write byte-identical summary files.
+randomness through --seed, and is bit-reproducible: two identical `train`
+invocations write byte-identical summary files.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=32, help="minibatch size (default 32)")
     p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate (default 0.001)")
     p.add_argument("--clip-norm", type=float, default=None, help="global gradient norm clip (off by default)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel samples per batch; keep 1 for bit-reproducible runs")
 
 
 def _model_config_from_args(args, n_nodes: int, n_features: int) -> ModelConfig:
@@ -98,7 +96,7 @@ def _load_model(checkpoint_path) -> tuple[Forecaster, NormStats, dict]:
     meta, tensors = load_checkpoint(checkpoint_path)
     cfg = ModelConfig.from_json(meta["model"])
     net = RoadNetwork(cfg.n_nodes, tuple(tuple(e) for e in meta["edges"]))
-    model = Forecaster(cfg, net, params=None, seed=0)
+    model = Forecaster(cfg, net, seed=0)
     model.load_state(tensors)
     stats = NormStats(mean=np.array(meta["stats"]["mean"]), std=np.array(meta["stats"]["std"]))
     return model, stats, meta
@@ -111,7 +109,7 @@ def _load_model(checkpoint_path) -> tuple[Forecaster, NormStats, dict]:
 def cmd_train(args) -> int:
     _validate_flags_early(args)
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                            seed=args.seed, clip_norm=args.clip_norm, workers=args.workers)
+                            seed=args.seed, clip_norm=args.clip_norm)
     signal, net = ingest(args.data, args.edges)
     cfg = _model_config_from_args(args, n_nodes=signal.n_nodes, n_features=signal.n_features)
     prepared = prepare_dataset(signal, cfg.lookback, cfg.horizon)

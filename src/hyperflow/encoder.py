@@ -7,7 +7,7 @@ stack of graph convolutions over the time-expanded network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -15,48 +15,31 @@ from .autodiff import Tensor, add, matmul, relu, sparse_matmul, tile_rows, repea
 from .graphs import TemporalGraph
 
 
-@dataclass
-class EncoderParams:
-    input_proj: Tensor  # (F, d)
-    spatial: Tensor  # (N, d), one row per sensor
-    temporal: Tensor  # (T, d), one row per step
-    layers: list[Tensor]  # each (d, d)
+def build_node_features(x: np.ndarray, input_proj: Tensor, spatial: Tensor, temporal: Tensor) -> Tensor:
+    """Initial state matrix: row (t*N + i) = x[t,i] W_in + spatial[i] + temporal[t].
 
-
-def init_encoder(n_nodes: int, n_features: int, t_steps: int, width: int,
-                 n_layers: int, rng: np.random.Generator) -> EncoderParams:
-    if width < 1 or n_layers < 1:
-        raise ValueError("encoder needs width >= 1 and at least one layer")
-    emb = 1.0 / np.sqrt(width)
-    return EncoderParams(
-        input_proj=Tensor(rng.uniform(-1.0, 1.0, (n_features, width)) / np.sqrt(n_features), requires_grad=True),
-        spatial=Tensor(rng.uniform(-emb, emb, (n_nodes, width)), requires_grad=True),
-        temporal=Tensor(rng.uniform(-emb, emb, (t_steps, width)), requires_grad=True),
-        layers=[Tensor(rng.uniform(-emb, emb, (width, width)), requires_grad=True) for _ in range(n_layers)],
-    )
-
-
-def build_node_features(x: np.ndarray, params: EncoderParams) -> Tensor:
-    """Initial state matrix: row (t*N + i) = x[t,i] W_in + spatial[i] + temporal[t]."""
+    input_proj is (F, d), spatial (N, d) with one row per sensor, temporal
+    (T, d) with one row per step.
+    """
     t_steps, n_nodes, n_features = x.shape
-    if n_features != params.input_proj.shape[0]:
-        raise ValueError(f"signal has {n_features} features, projection expects {params.input_proj.shape[0]}")
-    if n_nodes != params.spatial.shape[0]:
-        raise ValueError(f"signal has {n_nodes} nodes, spatial table has {params.spatial.shape[0]}")
-    if t_steps != params.temporal.shape[0]:
-        raise ValueError(f"signal has {t_steps} steps, temporal table has {params.temporal.shape[0]}")
+    if n_features != input_proj.shape[0]:
+        raise ValueError(f"signal has {n_features} features, projection expects {input_proj.shape[0]}")
+    if n_nodes != spatial.shape[0]:
+        raise ValueError(f"signal has {n_nodes} nodes, spatial table has {spatial.shape[0]}")
+    if t_steps != temporal.shape[0]:
+        raise ValueError(f"signal has {t_steps} steps, temporal table has {temporal.shape[0]}")
     flat = Tensor(x.reshape(t_steps * n_nodes, n_features))
-    projected = matmul(flat, params.input_proj)
-    h = add(projected, tile_rows(params.spatial, t_steps))
-    return add(h, repeat_rows(params.temporal, n_nodes))
+    projected = matmul(flat, input_proj)
+    h = add(projected, tile_rows(spatial, t_steps))
+    return add(h, repeat_rows(temporal, n_nodes))
 
 
-def graph_convolution(h: Tensor, graph: TemporalGraph, params: EncoderParams) -> Tensor:
-    """Stacked propagation h <- relu(A_norm h W), one W per layer."""
+def graph_convolution(h: Tensor, graph: TemporalGraph, layers: Sequence[Tensor]) -> Tensor:
+    """Stacked propagation h <- relu(A_norm h W), one (d, d) W per layer."""
     if graph.normalized is None:
         raise ValueError("temporal graph must be normalized before convolution")
     if h.shape[0] != graph.n_nodes:
         raise ValueError(f"state matrix has {h.shape[0]} rows, graph has {graph.n_nodes} nodes")
-    for w in params.layers:
+    for w in layers:
         h = relu(sparse_matmul(graph.normalized, matmul(h, w), graph.normalized_t))
     return h

@@ -10,44 +10,29 @@ influence of a hyperedge on a node.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, add, matmul, relu, transpose
 
 
-@dataclass
-class HyperParams:
-    factor: Tensor  # (d, I), maps states to hyperedge memberships
-    relations: Tensor  # (I, I), mixes hyperedge embeddings
+def learn_incidence(h: Tensor, factor: Tensor) -> Tensor:
+    """Incidence = H @ factor, exactly; no activation or normalization.
+
+    factor is (d, I) and maps states to hyperedge memberships.
+    """
+    if h.shape[1] != factor.shape[0]:
+        raise ValueError(f"state width {h.shape[1]} does not match factor rows {factor.shape[0]}")
+    return matmul(h, factor)
 
 
-def init_hyper(width: int, n_hyperedges: int, n_rows: int, rng: np.random.Generator) -> HyperParams:
-    if n_hyperedges < 1:
-        raise ValueError("need at least one hyperedge")
-    # Factor scale keeps node updates near unit variance through the
-    # membership -> hyperedge -> node round trip, which grows with the
-    # number of observation rows the block sees.
-    fac = 1.0 / np.sqrt(width * np.sqrt(n_hyperedges * n_rows))
-    rel = 1.0 / np.sqrt(n_hyperedges)
-    return HyperParams(
-        factor=Tensor(rng.uniform(-fac, fac, (width, n_hyperedges)), requires_grad=True),
-        relations=Tensor(rng.uniform(-rel, rel, (n_hyperedges, n_hyperedges)), requires_grad=True),
-    )
+def hyperedge_embeddings(h: Tensor, incidence: Tensor, relations: Tensor) -> Tensor:
+    """E = relu(U (Lam^T H)) + Lam^T H, one row per hyperedge.
 
-
-def learn_incidence(h: Tensor, params: HyperParams) -> Tensor:
-    """Incidence = H @ factor, exactly; no activation or normalization."""
-    if h.shape[1] != params.factor.shape[0]:
-        raise ValueError(f"state width {h.shape[1]} does not match factor rows {params.factor.shape[0]}")
-    return matmul(h, params.factor)
-
-
-def hyperedge_embeddings(h: Tensor, incidence: Tensor, params: HyperParams) -> Tensor:
-    """E = relu(U (Lam^T H)) + Lam^T H, one row per hyperedge."""
+    relations is the (I, I) matrix U that mixes hyperedge embeddings.
+    """
     pooled = matmul(transpose(incidence), h)
-    return add(relu(matmul(params.relations, pooled)), pooled)
+    return add(relu(matmul(relations, pooled)), pooled)
 
 
 def nodes_from_hyperedges(incidence: Tensor, edges: Tensor) -> Tensor:
@@ -55,7 +40,7 @@ def nodes_from_hyperedges(incidence: Tensor, edges: Tensor) -> Tensor:
     return matmul(incidence, edges)
 
 
-def hypergraph_block(h: Tensor, params: HyperParams, n_layers: int = 1,
+def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor, n_layers: int = 1,
                      capture: list[np.ndarray] | None = None) -> Tensor:
     """Stacked hypergraph convolutions, re-learning the incidence from the
     evolving states at every layer.  `capture` collects the incidence
@@ -63,10 +48,10 @@ def hypergraph_block(h: Tensor, params: HyperParams, n_layers: int = 1,
     if n_layers < 1:
         raise ValueError("hypergraph block needs n_layers >= 1")
     for _ in range(n_layers):
-        incidence = learn_incidence(h, params)
+        incidence = learn_incidence(h, factor)
         if capture is not None:
             capture.append(incidence.data.copy())
-        h = nodes_from_hyperedges(incidence, hyperedge_embeddings(h, incidence, params))
+        h = nodes_from_hyperedges(incidence, hyperedge_embeddings(h, incidence, relations))
     return h
 
 

@@ -8,47 +8,21 @@ what gets computed; the pair form only ever appears in test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .autodiff import Tensor, add, hadamard, matmul, relu, sparse_matmul
 from .graphs import TemporalGraph
 
 
-@dataclass
-class InteractionParams:
-    pair_left: Tensor  # (d, d)
-    pair_right: Tensor  # (d, d)
-    through: Tensor  # (d, d), plain aggregation path
+def interaction_block(h: Tensor, graph: TemporalGraph, pair_left: Tensor, pair_right: Tensor,
+                      through: Tensor) -> Tensor:
+    """relu((A h W_left) * (A h W_right)) + relu(A h W_through).
 
-
-def init_interaction(width: int, rng: np.random.Generator) -> InteractionParams:
-    s = 1.0 / np.sqrt(width)
-
-    def w():
-        return Tensor(rng.uniform(-s, s, (width, width)), requires_grad=True)
-
-    return InteractionParams(pair_left=w(), pair_right=w(), through=w())
-
-
-def _check(h: Tensor, graph: TemporalGraph) -> None:
+    The first term is the factorized pair sum, the second the usual linear
+    aggregation; every weight is (d, d).
+    """
     if graph.normalized is None:
         raise ValueError("temporal graph must be normalized before interaction")
     if h.shape[0] != graph.n_nodes:
         raise ValueError(f"state matrix has {h.shape[0]} rows, graph has {graph.n_nodes} nodes")
-
-
-def interactive_aggregate(h: Tensor, graph: TemporalGraph, params: InteractionParams) -> Tensor:
-    """pi = relu((A h W_left) * (A h W_right)), the factorized pair sum."""
-    _check(h, graph)
     mixed = sparse_matmul(graph.normalized, h, graph.normalized_t)
-    return relu(hadamard(matmul(mixed, params.pair_left), matmul(mixed, params.pair_right)))
-
-
-def interaction_block(h: Tensor, graph: TemporalGraph, params: InteractionParams) -> Tensor:
-    """Interaction term plus the usual linear aggregation."""
-    _check(h, graph)
-    mixed = sparse_matmul(graph.normalized, h, graph.normalized_t)
-    pi = relu(hadamard(matmul(mixed, params.pair_left), matmul(mixed, params.pair_right)))
-    return add(pi, relu(matmul(mixed, params.through)))
+    pi = relu(hadamard(matmul(mixed, pair_left), matmul(mixed, pair_right)))
+    return add(pi, relu(matmul(mixed, through)))

@@ -10,7 +10,7 @@ embedding concatenated with the last encoded step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,10 @@ from .autodiff import (
     transpose,
     window_max_rows,
 )
-from .encoder import EncoderParams, build_node_features, graph_convolution, init_encoder
+from .encoder import build_node_features, graph_convolution
 from .graphs import RoadNetwork, TemporalGraph, temporal_graph
-from .hyperedges import HyperParams, hypergraph_block, init_hyper
-from .interaction import InteractionParams, init_interaction, interaction_block
+from .hyperedges import hypergraph_block
+from .interaction import interaction_block
 
 
 @dataclass(frozen=True)
@@ -70,36 +70,37 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
-class ScaleParams:
-    hyper: HyperParams
-    inter: InteractionParams
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Every trainable tensor under its checkpoint name.
 
+    Tensors are drawn from `rng` in the order of the dict; seeded runs and
+    saved checkpoints depend on that order and on the bounds.
+    """
+    d, n_edges = cfg.width, cfg.n_hyperedges
 
-@dataclass
-class ModelParams:
-    encoder: EncoderParams
-    scales: dict[int, ScaleParams] = field(default_factory=dict)
-    fusion_logits: Tensor | None = None  # (J,)
-    readout_w: Tensor | None = None  # (2d, horizon)
-    readout_b: Tensor | None = None  # (horizon,)
+    def uniform(bound: float, shape: tuple[int, ...]) -> Tensor:
+        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
-
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    params = ModelParams(
-        encoder=init_encoder(cfg.n_nodes, cfg.n_features, cfg.lookback,
-                             cfg.width, cfg.encoder_layers, rng)
-    )
+    emb = 1.0 / np.sqrt(d)
+    proj = rng.uniform(-1.0, 1.0, (cfg.n_features, d)) / np.sqrt(cfg.n_features)
+    params = {"encoder.input_proj": Tensor(proj, requires_grad=True),
+              "encoder.spatial": uniform(emb, (cfg.n_nodes, d)),
+              "encoder.temporal": uniform(emb, (cfg.lookback, d))}
+    for i in range(cfg.encoder_layers):
+        params[f"encoder.layer{i}"] = uniform(emb, (d, d))
     for eps in cfg.windows:
         rows = cfg.n_nodes * (cfg.lookback // eps)
-        params.scales[eps] = ScaleParams(
-            hyper=init_hyper(cfg.width, cfg.n_hyperedges, rows, rng),
-            inter=init_interaction(cfg.width, rng),
-        )
-    params.fusion_logits = Tensor(np.zeros(len(cfg.windows)), requires_grad=True)
-    s = 1.0 / np.sqrt(2 * cfg.width)
-    params.readout_w = Tensor(rng.uniform(-s, s, (2 * cfg.width, cfg.horizon)), requires_grad=True)
-    params.readout_b = Tensor(np.zeros(cfg.horizon), requires_grad=True)
+        # Factor scale keeps node updates near unit variance through the
+        # membership -> hyperedge -> node round trip, which grows with the
+        # number of observation rows the block sees.
+        fac = 1.0 / np.sqrt(d * np.sqrt(n_edges * rows))
+        params[f"scale{eps}.hyper.factor"] = uniform(fac, (d, n_edges))
+        params[f"scale{eps}.hyper.relations"] = uniform(1.0 / np.sqrt(n_edges), (n_edges, n_edges))
+        for name in ("pair_left", "pair_right", "through"):
+            params[f"scale{eps}.inter.{name}"] = uniform(emb, (d, d))
+    params["fusion_logits"] = Tensor(np.zeros(len(cfg.windows)), requires_grad=True)
+    params["readout_w"] = uniform(1.0 / np.sqrt(2 * d), (2 * d, cfg.horizon))
+    params["readout_b"] = Tensor(np.zeros(cfg.horizon), requires_grad=True)
     return params
 
 
@@ -113,23 +114,28 @@ def forecast_head(fused: Tensor, h_last: Tensor, w: Tensor, b: Tensor) -> Tensor
     return transpose(add(matmul(concat_cols(fused, h_last), w), b))
 
 
-def mixed_layer(delta: Tensor, graph: TemporalGraph, sp: ScaleParams, hyper_layers: int,
-                capture: list[np.ndarray] | None = None) -> Tensor:
-    """One iteration: average of the hypergraph and interaction block outputs."""
-    f = hypergraph_block(delta, sp.hyper, hyper_layers, capture=capture)
-    r = interaction_block(delta, graph, sp.inter)
+def mixed_layer(delta: Tensor, graph: TemporalGraph, params: dict[str, Tensor], eps: int,
+                hyper_layers: int, capture: list[np.ndarray] | None = None) -> Tensor:
+    """One iteration at window size eps: average of the hypergraph and
+    interaction block outputs, with that scale's weights from `params`."""
+    s = f"scale{eps}."
+    f = hypergraph_block(delta, params[s + "hyper.factor"], params[s + "hyper.relations"],
+                         hyper_layers, capture=capture)
+    r = interaction_block(delta, graph, params[s + "inter.pair_left"], params[s + "inter.pair_right"],
+                          params[s + "inter.through"])
     return scale(add(f, r), 0.5)
 
 
 class Forecaster:
     """Bundles config, parameters, and the per-scale temporal graphs.
 
-    The temporal graphs depend only on the road network and the lookback,
-    so they are built once and shared across every forward pass.
+    `params` maps each checkpoint name (see `init_params`) to its tensor;
+    the forward pass looks every weight up there.  The temporal graphs
+    depend only on the road network and the lookback, so they are built
+    once and shared across every forward pass.
     """
 
-    def __init__(self, cfg: ModelConfig, net: RoadNetwork, seed: int = 0,
-                 params: ModelParams | None = None):
+    def __init__(self, cfg: ModelConfig, net: RoadNetwork, seed: int = 0):
         if net.n_nodes != cfg.n_nodes:
             raise ValueError(f"config expects {cfg.n_nodes} nodes, network has {net.n_nodes}")
         self.cfg = cfg
@@ -142,7 +148,7 @@ class Forecaster:
                 self.scale_graphs[eps] = self.encoder_graph
             else:
                 self.scale_graphs[eps] = temporal_graph(net, steps)
-        self.params = params if params is not None else init_params(cfg, np.random.default_rng(seed))
+        self.params = init_params(cfg, np.random.default_rng(seed))
 
     def forward(self, x: np.ndarray, capture: dict | None = None) -> Tensor:
         """Predict the normalized flow horizon for one input window.
@@ -159,8 +165,9 @@ class Forecaster:
                 f"expected {(cfg.lookback, cfg.n_nodes, cfg.n_features)}"
             )
         p = self.params
-        h = build_node_features(x, p.encoder)
-        h = graph_convolution(h, self.encoder_graph, p.encoder)
+        h = build_node_features(x, p["encoder.input_proj"], p["encoder.spatial"], p["encoder.temporal"])
+        h = graph_convolution(h, self.encoder_graph,
+                              [p[f"encoder.layer{i}"] for i in range(cfg.encoder_layers)])
         h_last = slice_rows(h, (cfg.lookback - 1) * cfg.n_nodes, cfg.lookback * cfg.n_nodes)
 
         per_scale = []
@@ -171,12 +178,12 @@ class Forecaster:
                 sink = capture.setdefault("incidence", {}).setdefault(eps, [])
             delta = window_max_rows(h, eps, cfg.lookback, cfg.n_nodes)
             for _ in range(cfg.scale_iters):
-                delta = mixed_layer(delta, self.scale_graphs[eps], p.scales[eps],
-                                    cfg.hyper_layers, capture=sink)
+                delta = mixed_layer(delta, self.scale_graphs[eps], p, eps, cfg.hyper_layers,
+                                    capture=sink)
             per_scale.append(mean_over_time(delta, steps, cfg.n_nodes))
 
-        fused = fuse_scales(per_scale, p.fusion_logits)
-        return forecast_head(fused, h_last, p.readout_w, p.readout_b)
+        fused = fuse_scales(per_scale, p["fusion_logits"])
+        return forecast_head(fused, h_last, p["readout_w"], p["readout_b"])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass without recording, for inference and evaluation."""
@@ -185,69 +192,17 @@ class Forecaster:
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        p = self.params
-        out = [("encoder.input_proj", p.encoder.input_proj),
-               ("encoder.spatial", p.encoder.spatial),
-               ("encoder.temporal", p.encoder.temporal)]
-        out += [(f"encoder.layer{i}", w) for i, w in enumerate(p.encoder.layers)]
-        for eps in self.cfg.windows:
-            sp = p.scales[eps]
-            out += [
-                (f"scale{eps}.hyper.factor", sp.hyper.factor),
-                (f"scale{eps}.hyper.relations", sp.hyper.relations),
-                (f"scale{eps}.inter.pair_left", sp.inter.pair_left),
-                (f"scale{eps}.inter.pair_right", sp.inter.pair_right),
-                (f"scale{eps}.inter.through", sp.inter.through),
-            ]
-        out += [("fusion_logits", p.fusion_logits),
-                ("readout_w", p.readout_w),
-                ("readout_b", p.readout_b)]
-        return out
-
-    def swap_parameter(self, name: str, replacement: Tensor) -> Tensor:
-        """Replace one parameter tensor object, returning the old one.
-
-        Gradient checking perturbs a fresh tensor and needs the model to
-        route its forward pass (and hence its tape gradients) through it.
-        """
-        p = self.params
-        if name == "fusion_logits":
-            old, p.fusion_logits = p.fusion_logits, replacement
-            return old
-        if name == "readout_w":
-            old, p.readout_w = p.readout_w, replacement
-            return old
-        if name == "readout_b":
-            old, p.readout_b = p.readout_b, replacement
-            return old
-        head, _, rest = name.partition(".")
-        if head == "encoder":
-            if rest.startswith("layer"):
-                i = int(rest[len("layer"):])
-                old, p.encoder.layers[i] = p.encoder.layers[i], replacement
-                return old
-            old = getattr(p.encoder, rest)
-            setattr(p.encoder, rest, replacement)
-            return old
-        if head.startswith("scale"):
-            eps = int(head[len("scale"):])
-            block_name, _, attr = rest.partition(".")
-            block = getattr(p.scales[eps], block_name)
-            old = getattr(block, attr)
-            setattr(block, attr, replacement)
-            return old
-        raise KeyError(f"unknown parameter {name!r}")
+        return list(self.params.items())
 
     def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters()}
+        return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = sorted(set(own) - set(state))
-        extra = sorted(set(state) - set(own))
+        missing = sorted(set(self.params) - set(state))
+        extra = sorted(set(state) - set(self.params))
         if missing or extra:
             raise ValueError(f"state mismatch: missing {missing}, unexpected {extra}")
-        for name, tensor in own.items():
+        for name, tensor in self.params.items():
             arr = np.asarray(state[name], dtype=tensor.data.dtype)
             if arr.shape != tensor.data.shape:
                 raise ValueError(f"{name}: checkpoint shape {arr.shape} vs model {tensor.data.shape}")

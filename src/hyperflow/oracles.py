@@ -11,6 +11,7 @@ number, not just a boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -107,25 +108,39 @@ def check_op_gradients(seed: int) -> list[OracleResult]:
     return results
 
 
-def check_model_gradient(seed: int, corrupt_grad: str | None = None) -> list[OracleResult]:
-    rng = np.random.default_rng(seed)
-    model, x, y = _live_path_model(rng)
-    worst = 0.0
-    worst_name = "-"
-    for name, tensor in model.named_parameters():
-        def f(p, _name=name):
-            old = model.swap_parameter(_name, p)
+def model_gradient_errors(model: Forecaster, x: np.ndarray, y: np.ndarray,
+                          names: Iterable[str] | None = None) -> dict[str, float]:
+    """Tape vs central-difference error of the MAE loss at (x, y), per parameter.
+
+    Each named entry of `model.params` (all of them by default) is replaced
+    in turn by the probe tensor of `finite_difference_check` and restored
+    after every evaluation.
+    """
+    errors = {}
+    for name in list(model.params) if names is None else names:
+        tensor = model.params[name]
+
+        def f(p, _name=name, _tensor=tensor):
+            model.params[_name] = p
             try:
                 return mae_loss(model.forward(x), Tensor(y))
             finally:
-                model.swap_parameter(_name, old)
+                model.params[_name] = _tensor
 
-        err = finite_difference_check(f, tensor)
-        if corrupt_grad is not None and name.endswith(corrupt_grad):
-            err += 1.0  # test hook: simulate a wrong vjp for this parameter
-        if err > worst:
-            worst, worst_name = err, name
-    return [OracleResult("model_gradient", f"worst={worst_name}", 1e-4, worst)]
+        errors[name] = finite_difference_check(f, tensor)
+    return errors
+
+
+def check_model_gradient(seed: int, corrupt_grad: str | None = None) -> list[OracleResult]:
+    rng = np.random.default_rng(seed)
+    model, x, y = _live_path_model(rng)
+    errors = model_gradient_errors(model, x, y)
+    if corrupt_grad is not None:
+        for name in errors:
+            if name.endswith(corrupt_grad):
+                errors[name] += 1.0  # test hook: simulate a wrong vjp for this parameter
+    worst_name = max(errors, key=errors.get)
+    return [OracleResult("model_gradient", f"worst={worst_name}", 1e-4, errors[worst_name])]
 
 
 def interaction_pair_sum(h: np.ndarray, a_dense: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +20,10 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     clip_norm: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.workers < 1:
-            raise ValueError("epochs must be >= 0, batch_size and workers >= 1")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("epochs must be >= 0, batch_size >= 1")
         if self.lr < 0:
             raise ValueError(f"learning rate must be >= 0, got {self.lr}")
 
@@ -136,9 +133,6 @@ class FitResult:
     steps: int = 0
 
 
-_BACKWARD_LOCK = threading.Lock()
-
-
 def _denorm(y: np.ndarray, stats) -> np.ndarray:
     if stats is None:
         return y
@@ -153,12 +147,12 @@ def predict_batch(model, samples) -> np.ndarray:
 def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoch=None) -> FitResult:
     """Mini-batch Adam on the MAE loss.
 
-    Batches are reshuffled each epoch from a generator seeded by cfg.seed,
-    so a fixed seed with workers=1 reproduces runs bit for bit.  Metric
-    history is reported on de-normalized values (via `stats`); the train
-    row uses the predictions accumulated during the epoch, the val row a
-    dedicated pass.  Parameters with the best validation MAE are restored
-    at the end.
+    Batches are reshuffled each epoch from a generator seeded by cfg.seed
+    and run one sample at a time, each on its own tape, so a fixed seed
+    reproduces runs bit for bit.  Metric history is reported on
+    de-normalized values (via `stats`); the train row uses the predictions
+    accumulated during the epoch, the val row a dedicated pass.  Parameters
+    with the best validation MAE are restored at the end.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.named_parameters(), lr=cfg.lr, beta1=cfg.beta1,
@@ -170,9 +164,8 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
         with Tape() as tape:
             pred = model.forward(sample.input)
             loss = mae_loss(pred, Tensor(sample.target))
-        with _BACKWARD_LOCK:
-            tape.backward(loss)
-        return pred.data, float(loss.data)
+        tape.backward(loss)
+        return pred.data
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_samples))
@@ -181,18 +174,13 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
             batch = [train_samples[i] for i in order[b0:b0 + cfg.batch_size]]
             opt.zero_grad()
             try:
-                if cfg.workers > 1:
-                    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                        outcomes = list(pool.map(run_sample, batch))
-                else:
-                    outcomes = [run_sample(s) for s in batch]
+                epoch_preds.extend(run_sample(s) for s in batch)
             except NumericError as err:
                 raise RuntimeError(
                     f"non-finite value at epoch {epoch}, batch {b0 // cfg.batch_size}: {err}"
                 ) from err
             opt.step(grad_scale=1.0 / len(batch), clip_norm=cfg.clip_norm)
             result.steps += 1
-            epoch_preds.extend(p for p, _ in outcomes)
             epoch_trues.extend(s.target for s in batch)
 
         train_report = evaluate(_denorm(np.stack(epoch_preds), stats),

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperflow
 from hyperflow.checkpoint import load_checkpoint, save_checkpoint
 from hyperflow.cli import main
 
@@ -205,3 +209,18 @@ def test_bench_leaves_caller_environment_unchanged(tmp_path, monkeypatch):
                "--n-grid", "20,40", "--base-n", "20", "--repeats", "1", "--seed", "0"])
     assert rc == 0
     assert dict(os.environ) == before
+
+
+def test_community_forecast_script_runs(tmp_path):
+    # The scripts reach the package only through imports; run one end to end
+    # so that an API change breaks a test instead of the script.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "community_forecast.py"
+    src_root = str(Path(hyperflow.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--nodes", "6",
+                    "--communities", "2", "--steps", "200", "--epochs", "1", "--d", "8",
+                    "--hyperedges", "4"],
+                   env=dict(os.environ, PYTHONPATH=src_root), capture_output=True, check=True,
+                   timeout=120)
+    results = json.loads((tmp_path / "results.json").read_text())
+    assert np.isfinite(results["model"]["mae"])
+    assert len((tmp_path / "incidence.csv").read_text().splitlines()) == 1 + 12 * 6 * 4

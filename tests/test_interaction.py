@@ -3,17 +3,12 @@ import pytest
 
 from hyperflow.autodiff import Tensor, absolute, finite_difference_check, mean_all, sub
 from hyperflow.graphs import RoadNetwork, build_temporal_graph, temporal_graph
-from hyperflow.interaction import (
-    InteractionParams,
-    init_interaction,
-    interaction_block,
-    interactive_aggregate,
-)
+from hyperflow.interaction import interaction_block
 from hyperflow.oracles import interaction_pair_sum
 
 
 def params_from(w1, w2, w3):
-    return InteractionParams(pair_left=Tensor(w1), pair_right=Tensor(w2), through=Tensor(w3))
+    return Tensor(w1), Tensor(w2), Tensor(w3)
 
 
 def random_instance(rng, n, t, d):
@@ -30,15 +25,16 @@ def test_single_neighbor_row_reduces_to_projected_product():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(1, 3))
     w1, w2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    pi = interactive_aggregate(Tensor(h), g, params_from(w1, w2, np.zeros((3, 3))))
+    # a zero through weight leaves only the interaction term
+    pi = interaction_block(Tensor(h), g, *params_from(w1, w2, np.zeros((3, 3))))
     np.testing.assert_allclose(pi.data, np.maximum((h @ w1) * (h @ w2), 0.0))
 
 
 def test_zero_state_gives_zero_interaction():
     rng = np.random.default_rng(1)
     g, _ = random_instance(rng, 4, 2, 3)
-    p = params_from(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-    pi = interactive_aggregate(Tensor(np.zeros((8, 3))), g, p)
+    p = params_from(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), np.zeros((3, 3)))
+    pi = interaction_block(Tensor(np.zeros((8, 3))), g, *p)
     np.testing.assert_array_equal(pi.data, np.zeros((8, 3)))
 
 
@@ -59,7 +55,7 @@ def test_block_reduces_to_linear_path_when_pair_weight_zero():
     g, h = random_instance(rng, 3, 2, 4)
     w3 = rng.normal(size=(4, 4))
     p = params_from(np.zeros((4, 4)), rng.normal(size=(4, 4)), w3)
-    out = interaction_block(Tensor(h), g, p)
+    out = interaction_block(Tensor(h), g, *p)
     mixed = g.normalized @ h
     np.testing.assert_allclose(out.data, np.maximum(mixed @ w3, 0.0), atol=1e-12)
 
@@ -67,10 +63,10 @@ def test_block_reduces_to_linear_path_when_pair_weight_zero():
 def test_block_reduces_to_interaction_when_linear_path_nonpositive():
     rng = np.random.default_rng(4)
     g, h = random_instance(rng, 3, 2, 4)
-    p = params_from(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), np.zeros((4, 4)))
-    out = interaction_block(Tensor(h), g, p)
-    pi = interactive_aggregate(Tensor(h), g, p)
-    np.testing.assert_allclose(out.data, pi.data, atol=1e-12)
+    w1, w2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    out = interaction_block(Tensor(h), g, *params_from(w1, w2, np.zeros((4, 4))))
+    pi = np.maximum(interaction_pair_sum(h, g.normalized.toarray(), w1, w2), 0.0)
+    np.testing.assert_allclose(out.data, pi, atol=1e-12)
 
 
 def test_two_node_block_matches_straight_line_reference():
@@ -82,7 +78,7 @@ def test_two_node_block_matches_straight_line_reference():
     dense = g.normalized.toarray()
     pi_ref = np.maximum(interaction_pair_sum(h, dense, w1, w2), 0.0)
     ref = pi_ref + np.maximum(dense @ h @ w3, 0.0)
-    out = interaction_block(Tensor(h), g, params_from(w1, w2, w3))
+    out = interaction_block(Tensor(h), g, *params_from(w1, w2, w3))
     np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
 
@@ -92,10 +88,10 @@ def test_neighbor_order_does_not_change_aggregation():
     edges = [(0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0), (0, 2, 0.25)]
     h = rng.normal(size=(9, 3))
     p = params_from(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-    base = interaction_block(Tensor(h), temporal_graph(RoadNetwork(3, tuple(edges)), 3), p).data
+    base = interaction_block(Tensor(h), temporal_graph(RoadNetwork(3, tuple(edges)), 3), *p).data
     shuffled = list(edges)
     rng.shuffle(shuffled)
-    other = interaction_block(Tensor(h), temporal_graph(RoadNetwork(3, tuple(shuffled)), 3), p).data
+    other = interaction_block(Tensor(h), temporal_graph(RoadNetwork(3, tuple(shuffled)), 3), *p).data
     np.testing.assert_array_equal(base, other)
 
 
@@ -103,7 +99,7 @@ def test_unnormalized_graph_rejected():
     g = build_temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 1)
     p = params_from(np.eye(2), np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="normalized"):
-        interaction_block(Tensor(np.zeros((2, 2))), g, p)
+        interaction_block(Tensor(np.zeros((2, 2))), g, *p)
 
 
 def test_block_gradient_check():
@@ -117,14 +113,7 @@ def test_block_gradient_check():
         def f(p, _which=which):
             mats = [Tensor(w1), Tensor(w2), Tensor(w3)]
             mats[_which] = p
-            params = InteractionParams(pair_left=mats[0], pair_right=mats[1], through=mats[2])
-            return mean_all(absolute(sub(interaction_block(Tensor(h), g, params), target)))
+            return mean_all(absolute(sub(interaction_block(Tensor(h), g, *mats), target)))
 
         assert finite_difference_check(f, Tensor([w1, w2, w3][which])) < 1e-4
 
-
-def test_init_shapes():
-    p = init_interaction(5, np.random.default_rng(0))
-    assert p.pair_left.shape == (5, 5)
-    assert p.pair_right.shape == (5, 5)
-    assert p.through.shape == (5, 5)

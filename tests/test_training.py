@@ -206,13 +206,6 @@ def test_fit_decreases_training_loss():
     assert last < first * 0.7
 
 
-def test_fit_workers_flag_runs():
-    model, samples, stats = overfit_setup(seed=6)
-    result = fit(model, samples, [], TrainConfig(epochs=1, batch_size=4, workers=2, seed=0),
-                 stats=stats)
-    assert result.steps == 1
-
-
 def test_history_csv_format(tmp_path):
     history = [(0, "train", MetricReport(1.0, 2.0, 3.0)),
                (0, "val", MetricReport(1.5, 2.5, None))]
