@@ -20,6 +20,14 @@ backward stores the first contribution as it is and sums later ones into
 a new array.  A requires_grad leaf owns its .grad and accumulates into it
 in place.
 
+The model's repeated blocks (an encoder layer, a hypergraph layer, the
+interaction block and the average of the two blocks) are single ops with
+hand-written vjps, defined next to the blocks in their own modules through
+`record`.  The contract above is unchanged for them: one node per call, no
+graph outside a tape, no gradient computed for an input that is not
+`tracked`, gradients never written in place, and a non-finite value or
+gradient names the op.
+
 Every op allocates a fresh output.  A forward pass that frees as it goes
 shrinks glibc's heap back to the OS by its end, and the next pass faults
 the same pages in again (about 2k minor faults per call at N=200, d=32).
@@ -173,7 +181,14 @@ class Tape:
                 node.grad = np.zeros_like(node.data)
 
 
-def _record(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def record(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """Wrap the output of one op, linking it to the active tape if any.
+
+    `vjp` maps the output's gradient to one gradient (or None) per entry
+    of `parents`, in order; it must not write into its argument.  A
+    non-finite output raises NumericError naming `op`, and so does a
+    non-finite gradient the vjp returns during backward.
+    """
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -194,7 +209,8 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(t: Tensor) -> bool:
+def tracked(t: Tensor) -> bool:
+    """Whether backward wants a gradient for t (a recorded node or a trainable leaf)."""
     return t._vjp is not None or t.requires_grad
 
 
@@ -206,13 +222,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-    need_a, need_b = _tracked(a), _tracked(b)
+    need_a, need_b = tracked(a), tracked(b)
 
     def vjp(g):
         return (g @ b.data.T if need_a else None,
                 a.data.T @ g if need_b else None)
 
-    return _record(a.data @ b.data, "matmul", (a, b), vjp)
+    return record(a.data @ b.data, "matmul", (a, b), vjp)
 
 
 def sparse_matmul(sp_mat, x: Tensor, sp_mat_t=None) -> Tensor:
@@ -229,29 +245,29 @@ def sparse_matmul(sp_mat, x: Tensor, sp_mat_t=None) -> Tensor:
         t = sp_mat_t if sp_mat_t is not None else sp_mat.T
         return (t @ g,)
 
-    return _record(np.asarray(sp_mat @ x.data), "sparse_matmul", (x,), vjp)
+    return record(np.asarray(sp_mat @ x.data), "sparse_matmul", (x,), vjp)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    need_a, need_b = _tracked(a), _tracked(b)
+    need_a, need_b = tracked(a), tracked(b)
 
     def vjp(g):
         return (g * b.data if need_a else None,
                 g * a.data if need_b else None)
 
-    return _record(a.data * b.data, "hadamard", (a, b), vjp)
+    return record(a.data * b.data, "hadamard", (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a 1-D row bias against a 2-D tensor."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape == b.shape:
-        return _record(a.data + b.data, "add", (a, b), lambda g: (g, g))
+        return record(a.data + b.data, "add", (a, b), lambda g: (g, g))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return _record(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
+        return record(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
     raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
 
@@ -259,24 +275,24 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    return _record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
+    return record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     a = as_tensor(a)
-    return _record(a.data * c, "scale", (a,), lambda g: (g * c,))
+    return record(a.data * c, "scale", (a,), lambda g: (g * c,))
 
 
 def relu(a: Tensor) -> Tensor:
     # Subgradient at 0 is 0: the mask is strict.
     a = as_tensor(a)
-    return _record(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0),))
+    return record(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0),))
 
 
 def absolute(a: Tensor) -> Tensor:
     # sign(0) = 0 gives the subgradient-0 tie rule used by the MAE loss.
     a = as_tensor(a)
-    return _record(np.abs(a.data), "absolute", (a,), lambda g: (g * np.sign(a.data),))
+    return record(np.abs(a.data), "absolute", (a,), lambda g: (g * np.sign(a.data),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -285,19 +301,19 @@ def mean_all(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(a.shape, float(g) / a.size),)
 
-    return _record(np.asarray(a.data.mean()), "mean_all", (a,), vjp)
+    return record(np.asarray(a.data.mean()), "mean_all", (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    return _record(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.full(a.shape, float(g)),))
+    return record(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.full(a.shape, float(g)),))
 
 
 def transpose(a: Tensor) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return _record(a.data.T.copy(), "transpose", (a,), lambda g: (g.T,))
+    return record(a.data.T.copy(), "transpose", (a,), lambda g: (g.T,))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -309,7 +325,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g[:, :split], g[:, split:]
 
-    return _record(np.concatenate([a.data, b.data], axis=1), "concat_cols", (a, b), vjp)
+    return record(np.concatenate([a.data, b.data], axis=1), "concat_cols", (a, b), vjp)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -322,7 +338,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         z[start:stop] = g
         return (z,)
 
-    return _record(a.data[start:stop].copy(), "slice_rows", (a,), vjp)
+    return record(a.data[start:stop].copy(), "slice_rows", (a,), vjp)
 
 
 def tile_rows(a: Tensor, reps: int) -> Tensor:
@@ -333,7 +349,7 @@ def tile_rows(a: Tensor, reps: int) -> Tensor:
     def vjp(g):
         return (g.reshape(reps, n, d).sum(axis=0),)
 
-    return _record(np.tile(a.data, (reps, 1)), "tile_rows", (a,), vjp)
+    return record(np.tile(a.data, (reps, 1)), "tile_rows", (a,), vjp)
 
 
 def repeat_rows(a: Tensor, reps: int) -> Tensor:
@@ -344,7 +360,7 @@ def repeat_rows(a: Tensor, reps: int) -> Tensor:
     def vjp(g):
         return (g.reshape(n, reps, d).sum(axis=1),)
 
-    return _record(np.repeat(a.data, reps, axis=0), "repeat_rows", (a,), vjp)
+    return record(np.repeat(a.data, reps, axis=0), "repeat_rows", (a,), vjp)
 
 
 def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tensor:
@@ -361,7 +377,7 @@ def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tenso
     if a.shape[0] != t_steps * n_nodes:
         raise ShapeError(f"window_max_rows: expected {t_steps * n_nodes} rows, got {a.shape[0]}")
     if window == 1:
-        return _record(a.data, "window_max_rows", (a,), lambda g: (g,))
+        return record(a.data, "window_max_rows", (a,), lambda g: (g,))
     k = t_steps // window
     d = a.shape[1]
     blocks = a.data.reshape(k, window, n_nodes, d)
@@ -372,7 +388,7 @@ def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tenso
         np.put_along_axis(z, idx[:, None], g.reshape(k, 1, n_nodes, d), axis=1)
         return (z.reshape(t_steps * n_nodes, d),)
 
-    return _record(blocks.max(axis=1).reshape(k * n_nodes, d), "window_max_rows", (a,), vjp)
+    return record(blocks.max(axis=1).reshape(k * n_nodes, d), "window_max_rows", (a,), vjp)
 
 
 def mean_over_time(a: Tensor, t_steps: int, n_nodes: int) -> Tensor:
@@ -385,7 +401,7 @@ def mean_over_time(a: Tensor, t_steps: int, n_nodes: int) -> Tensor:
     def vjp(g):
         return (np.tile(g / t_steps, (t_steps, 1)),)
 
-    return _record(a.data.reshape(t_steps, n_nodes, d).mean(axis=0), "mean_over_time", (a,), vjp)
+    return record(a.data.reshape(t_steps, n_nodes, d).mean(axis=0), "mean_over_time", (a,), vjp)
 
 
 def softmax_vec(a: Tensor) -> Tensor:
@@ -399,7 +415,7 @@ def softmax_vec(a: Tensor) -> Tensor:
     def vjp(g):
         return (w * (g - np.dot(g, w)),)
 
-    return _record(w, "softmax_vec", (a,), vjp)
+    return record(w, "softmax_vec", (a,), vjp)
 
 
 def linear_combination(xs: Sequence[Tensor], coeffs: Tensor) -> Tensor:
@@ -417,7 +433,7 @@ def linear_combination(xs: Sequence[Tensor], coeffs: Tensor) -> Tensor:
         grads.append(np.array([np.sum(g * x.data) for x in xs]))
         return grads
 
-    return _record(np.tensordot(coeffs.data, stack, axes=1), "linear_combination", (*xs, coeffs), vjp)
+    return record(np.tensordot(coeffs.data, stack, axes=1), "linear_combination", (*xs, coeffs), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, relu, sparse_matmul, tile_rows, repeat_rows
+from .autodiff import Tensor, add, matmul, record, repeat_rows, tile_rows, tracked
 from .graphs import TemporalGraph
 
 
@@ -34,6 +34,20 @@ def build_node_features(x: np.ndarray, input_proj: Tensor, spatial: Tensor, temp
     return add(h, repeat_rows(temporal, n_nodes))
 
 
+def encoder_layer(h: Tensor, graph: TemporalGraph, w: Tensor) -> Tensor:
+    """relu(A_norm (h W)) as one tape op."""
+    need_h, need_w = tracked(h), tracked(w)
+    hw = h.data @ w.data
+    out = np.maximum(np.asarray(graph.normalized @ hw), 0.0)
+
+    def vjp(g):
+        g_hw = graph.normalized_t @ (g * (out > 0))
+        return (g_hw @ w.data.T if need_h else None,
+                h.data.T @ g_hw if need_w else None)
+
+    return record(out, "encoder_layer", (h, w), vjp)
+
+
 def graph_convolution(h: Tensor, graph: TemporalGraph, layers: Sequence[Tensor]) -> Tensor:
     """Stacked propagation h <- relu(A_norm h W), one (d, d) W per layer."""
     if graph.normalized is None:
@@ -41,5 +55,5 @@ def graph_convolution(h: Tensor, graph: TemporalGraph, layers: Sequence[Tensor])
     if h.shape[0] != graph.n_nodes:
         raise ValueError(f"state matrix has {h.shape[0]} rows, graph has {graph.n_nodes} nodes")
     for w in layers:
-        h = relu(sparse_matmul(graph.normalized, matmul(h, w), graph.normalized_t))
+        h = encoder_layer(h, graph, w)
     return h

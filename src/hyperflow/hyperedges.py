@@ -13,31 +13,45 @@ import csv
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, relu, transpose
+from .autodiff import Tensor, record, tracked
+from .autodiff import matmul  # noqa: F401  perfbench/layertrace.py wraps matmul under this name
 
 
-def learn_incidence(h: Tensor, factor: Tensor) -> Tensor:
-    """Incidence = H @ factor, exactly; no activation or normalization.
+def hypergraph_layer(h: Tensor, factor: Tensor, relations: Tensor,
+                     capture: list[np.ndarray] | None = None) -> Tensor:
+    """One hypergraph convolution, lam E, as one tape op.
 
-    factor is (d, I) and maps states to hyperedge memberships.
+    lam = h factor is the incidence, exactly (factor is (d, I); no
+    activation or normalization).  P = lam^T h pools each hyperedge's
+    members, E = relu(U P) + P mixes the hyperedges through the (I, I)
+    relations matrix U with a residual, and each node becomes the
+    membership-weighted sum lam E of its hyperedge rows.  `capture`
+    receives a copy of lam.
     """
     if h.shape[1] != factor.shape[0]:
         raise ValueError(f"state width {h.shape[1]} does not match factor rows {factor.shape[0]}")
-    return matmul(h, factor)
+    need_h, need_f, need_u = tracked(h), tracked(factor), tracked(relations)
+    lam = h.data @ factor.data
+    if capture is not None:
+        capture.append(lam.copy())
+    # A contiguous lam^T keeps the BLAS call, and so the bits, of the
+    # transpose-then-matmul composition this op replaces.
+    pooled = lam.T.copy() @ h.data
+    mixed = relations.data @ pooled
+    edges = np.maximum(mixed, 0.0) + pooled
 
+    def vjp(g):
+        g_edges = lam.T @ g
+        g_mixed = g_edges * (mixed > 0)
+        g_u = g_mixed @ pooled.T if need_u else None
+        if not (need_h or need_f):
+            return None, None, g_u
+        g_pooled = g_edges + relations.data.T @ g_mixed
+        g_lam = g @ edges.T + h.data @ g_pooled.T
+        g_h = lam @ g_pooled + g_lam @ factor.data.T if need_h else None
+        return g_h, h.data.T @ g_lam if need_f else None, g_u
 
-def hyperedge_embeddings(h: Tensor, incidence: Tensor, relations: Tensor) -> Tensor:
-    """E = relu(U (Lam^T H)) + Lam^T H, one row per hyperedge.
-
-    relations is the (I, I) matrix U that mixes hyperedge embeddings.
-    """
-    pooled = matmul(transpose(incidence), h)
-    return add(relu(matmul(relations, pooled)), pooled)
-
-
-def nodes_from_hyperedges(incidence: Tensor, edges: Tensor) -> Tensor:
-    """Each node becomes the membership-weighted sum of its hyperedge rows."""
-    return matmul(incidence, edges)
+    return record(lam @ edges, "hypergraph_layer", (h, factor, relations), vjp)
 
 
 def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor, n_layers: int = 1,
@@ -48,10 +62,7 @@ def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor, n_layers: int
     if n_layers < 1:
         raise ValueError("hypergraph block needs n_layers >= 1")
     for _ in range(n_layers):
-        incidence = learn_incidence(h, factor)
-        if capture is not None:
-            capture.append(incidence.data.copy())
-        h = nodes_from_hyperedges(incidence, hyperedge_embeddings(h, incidence, relations))
+        h = hypergraph_layer(h, factor, relations, capture)
     return h
 
 

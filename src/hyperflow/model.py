@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    ShapeError,
     Tensor,
     add,
     concat_cols,
     linear_combination,
     matmul,
     mean_over_time,
-    scale,
+    record,
     slice_rows,
     softmax_vec,
+    tracked,
     transpose,
     window_max_rows,
 )
@@ -114,6 +116,19 @@ def forecast_head(fused: Tensor, h_last: Tensor, w: Tensor, b: Tensor) -> Tensor
     return transpose(add(matmul(concat_cols(fused, h_last), w), b))
 
 
+def average(a: Tensor, b: Tensor) -> Tensor:
+    """(a + b) / 2 as one tape op."""
+    if a.shape != b.shape:
+        raise ShapeError(f"average: shapes {a.shape} and {b.shape} differ")
+    need_a, need_b = tracked(a), tracked(b)
+
+    def vjp(g):
+        half = g * 0.5
+        return (half if need_a else None, half if need_b else None)
+
+    return record((a.data + b.data) * 0.5, "average", (a, b), vjp)
+
+
 def mixed_layer(delta: Tensor, graph: TemporalGraph, params: dict[str, Tensor], eps: int,
                 hyper_layers: int, capture: list[np.ndarray] | None = None) -> Tensor:
     """One iteration at window size eps: average of the hypergraph and
@@ -123,7 +138,7 @@ def mixed_layer(delta: Tensor, graph: TemporalGraph, params: dict[str, Tensor], 
                          hyper_layers, capture=capture)
     r = interaction_block(delta, graph, params[s + "inter.pair_left"], params[s + "inter.pair_right"],
                           params[s + "inter.through"])
-    return scale(add(f, r), 0.5)
+    return average(f, r)
 
 
 class Forecaster:

@@ -17,8 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
+from .encoder import encoder_layer
 from .graphs import RoadNetwork, build_temporal_graph, normalize_adjacency, temporal_graph
-from .model import Forecaster, ModelConfig
+from .hyperedges import hypergraph_layer
+from .interaction import interaction_block
+from .model import Forecaster, ModelConfig, average
 from .training import Adam, mae_loss
 
 
@@ -102,6 +105,22 @@ def check_op_gradients(seed: int) -> list[OracleResult]:
             ad.sparse_matmul(sp_graph.normalized, p, sp_graph.normalized_t), c63)),
             rng.normal(size=(6, 3))),
     }
+
+    # The fused block ops, by their state input.  Positive states and
+    # weights keep every relu inside them on, as in _live_path_model.
+    def live(*shape):
+        return rng.uniform(0.5, 1.5, size=shape)
+
+    def weighted(out):
+        return ad.sum_all(ad.hadamard(out, c63))
+
+    w1, w2, w3, factor, relations = (Tensor(live(*s)) for s in [(3, 3)] * 3 + [(3, 2), (2, 2)])
+    cases.update({
+        "encoder_layer": (lambda p: weighted(encoder_layer(p, sp_graph, w1)), live(6, 3)),
+        "hypergraph_layer": (lambda p: weighted(hypergraph_layer(p, factor, relations)), live(6, 3)),
+        "interaction_block": (lambda p: weighted(interaction_block(p, sp_graph, w1, w2, w3)), live(6, 3)),
+        "average": (lambda p: weighted(average(p, c63)), live(6, 3)),
+    })
     for name, (f, theta) in cases.items():
         err = finite_difference_check(f, Tensor(theta))
         results.append(OracleResult("op_gradients", name, tol, err))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import hyperflow.autodiff as ad
 from hyperflow.autodiff import NumericError, ShapeError, Tape, Tensor, finite_difference_check
+from hyperflow.encoder import encoder_layer
+from hyperflow.graphs import RoadNetwork, temporal_graph
+from hyperflow.hyperedges import hypergraph_layer
+from hyperflow.interaction import interaction_block
+from hyperflow.model import Forecaster, ModelConfig, average
+from hyperflow.training import TrainConfig, fit
 
 
 def kink_free(rng, shape, margin=1e-3):
@@ -159,6 +167,7 @@ def test_untaped_ops_record_no_graph():
     x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
     w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     v = Tensor(rng.normal(size=(2,)), requires_grad=True)
+    graph = temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 3)
     outs = [
         ad.matmul(x, w), ad.sparse_matmul(sp.identity(6, format="csr"), x),
         ad.hadamard(x, x), ad.add(x, x), ad.add(x, v), ad.sub(x, x), ad.scale(x, 2.0),
@@ -166,6 +175,8 @@ def test_untaped_ops_record_no_graph():
         ad.concat_cols(x, x), ad.slice_rows(x, 1, 3), ad.tile_rows(x, 2), ad.repeat_rows(x, 2),
         ad.window_max_rows(x, 1, 3, 2), ad.window_max_rows(x, 3, 3, 2),
         ad.mean_over_time(x, 3, 2), ad.softmax_vec(v), ad.linear_combination([x, x], v),
+        encoder_layer(x, graph, w), hypergraph_layer(x, w, w), interaction_block(x, graph, w, w, w),
+        average(x, x),
     ]
     for out in outs:
         assert out.parents == () and out._vjp is None, out.op
@@ -232,6 +243,61 @@ def test_nan_gradient_identifies_op(monkeypatch):
     mid._vjp = lambda g: (g * np.nan,)  # inject a broken backward rule
     with pytest.raises(NumericError, match="scale"):
         tape.backward(loss)
+
+
+def _fused_case(op, rng):
+    """(function of the inputs, inputs, index of the weight) for one fused op,
+    with outputs small enough that 2e308 times one of them is finite."""
+    graph = temporal_graph(RoadNetwork(3, ((0, 1, 1.0), (1, 2, 0.5))), 2)
+    h = Tensor(rng.uniform(-1e-3, 1e-3, size=(6, 3)), requires_grad=True)
+
+    def weight(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    if op == "encoder_layer":
+        return (lambda h, w: encoder_layer(h, graph, w)), [h, weight(3, 3)], 1
+    if op == "hypergraph_layer":
+        return hypergraph_layer, [h, weight(3, 2), weight(2, 2)], 1
+    if op == "interaction_block":
+        return ((lambda h, *w: interaction_block(h, graph, *w)),
+                [h, weight(3, 3), weight(3, 3), weight(3, 3)], 3)
+    return average, [h, Tensor(rng.uniform(-1e-3, 1e-3, size=(6, 3)), requires_grad=True)], 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("op, param", [
+    ("encoder_layer", "encoder.layer0"), ("hypergraph_layer", "scale1.hyper.factor"),
+    ("interaction_block", "scale1.inter.through"), ("average", None),
+])
+def test_nonfinite_inside_fused_op_identifies_op(op, param):
+    rng = np.random.default_rng(len(op))
+    # forward: a non-finite weight (the second input of average)
+    fn, inputs, k = _fused_case(op, rng)
+    inputs[k].data = inputs[k].data.copy()
+    inputs[k].data[0, 0] = np.nan
+    with pytest.raises(NumericError, match=f"produced by {op}"):
+        fn(*inputs)
+    # backward: two finite contributions of 1e308 to one entry of the
+    # output's gradient sum to inf, and the op's vjp meets it
+    fn, inputs, _ = _fused_case(op, rng)
+    upstream = np.zeros((6, 3))
+    upstream[0, 0] = 1e308
+    with Tape() as tape:
+        out = fn(*inputs)
+        loss = ad.sum_all(ad.hadamard(ad.add(out, out), Tensor(upstream)))
+    with pytest.raises(NumericError, match=f"backward of {op}"):
+        tape.backward(loss)
+    if param is None:
+        return  # no model weight feeds only this op
+    # fit names the epoch and the batch around the op's error
+    sig = rng.normal(size=(8, 3, 1))
+    cfg = ModelConfig(n_nodes=3, lookback=4, horizon=2, width=4, n_hyperedges=2, windows=(1,),
+                      encoder_layers=1, scale_iters=1)
+    model = Forecaster(cfg, RoadNetwork(3, ((0, 1, 1.0),)), seed=0)
+    model.params[param].data = np.full(model.params[param].shape, np.inf)
+    samples = [SimpleNamespace(input=sig[i:i + 4], target=sig[i + 4:i + 6, :, 0]) for i in range(3)]
+    with pytest.raises(RuntimeError, match=f"epoch 0, batch 0: .*produced by {op}"):
+        fit(model, samples, [], TrainConfig(epochs=1, batch_size=2, seed=0))
 
 
 # ---------------------------------------------------------------------------

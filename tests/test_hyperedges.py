@@ -1,82 +1,84 @@
 import numpy as np
 
 from hyperflow.autodiff import Tensor, absolute, finite_difference_check, mean_all, sub
-from hyperflow.hyperedges import (
-    hyperedge_embeddings,
-    hypergraph_block,
-    learn_incidence,
-    nodes_from_hyperedges,
-    write_incidence_csv,
-)
+from hyperflow.hyperedges import hypergraph_block, write_incidence_csv
 
 
 def params_from(factor, relations):
     return Tensor(factor), Tensor(relations)
 
 
+def one_layer(h, factor, relations):
+    """Output and captured incidence of a single hypergraph layer."""
+    captured = []
+    out = hypergraph_block(Tensor(h), *params_from(factor, relations), n_layers=1, capture=captured)
+    return out.data, captured[0]
+
+
 def test_incidence_zero_state():
-    p = params_from(np.ones((3, 2)), np.zeros((2, 2)))
-    lam = learn_incidence(Tensor(np.zeros((5, 3))), p[0])
-    np.testing.assert_array_equal(lam.data, np.zeros((5, 2)))
+    _, lam = one_layer(np.zeros((5, 3)), np.ones((3, 2)), np.zeros((2, 2)))
+    np.testing.assert_array_equal(lam, np.zeros((5, 2)))
 
 
 def test_incidence_identity_factor():
     h = np.random.default_rng(0).normal(size=(4, 3))
-    p = params_from(np.eye(3), np.zeros((3, 3)))
-    np.testing.assert_array_equal(learn_incidence(Tensor(h), p[0]).data, h)
+    np.testing.assert_array_equal(one_layer(h, np.eye(3), np.zeros((3, 3)))[1], h)
 
 
 def test_incidence_matmul_case():
-    p = params_from(np.array([[2.0, 3.0], [4.0, 5.0]]), np.zeros((2, 2)))
-    lam = learn_incidence(Tensor(np.eye(2)), p[0])
-    np.testing.assert_array_equal(lam.data, [[2.0, 3.0], [4.0, 5.0]])
+    _, lam = one_layer(np.eye(2), np.array([[2.0, 3.0], [4.0, 5.0]]), np.zeros((2, 2)))
+    np.testing.assert_array_equal(lam, [[2.0, 3.0], [4.0, 5.0]])
 
 
 def test_hyperedge_embeddings_residual_only_when_relations_zero():
+    # U = 0 leaves E = lam^T h, so the layer is lam (lam^T h)
     rng = np.random.default_rng(1)
     h = rng.normal(size=(6, 3))
-    lam = rng.normal(size=(6, 2))
-    p = params_from(rng.normal(size=(3, 2)), np.zeros((2, 2)))
-    e = hyperedge_embeddings(Tensor(h), Tensor(lam), p[1])
-    np.testing.assert_allclose(e.data, lam.T @ h)
+    out, lam = one_layer(h, rng.normal(size=(3, 2)), np.zeros((2, 2)))
+    np.testing.assert_allclose(out, lam @ (lam.T @ h))
 
 
 def test_hyperedge_embeddings_zero_incidence():
-    p = params_from(np.zeros((3, 1)), np.ones((1, 1)))
-    e = hyperedge_embeddings(Tensor(np.ones((4, 3))), Tensor(np.zeros((4, 1))), p[1])
-    np.testing.assert_array_equal(e.data, np.zeros((1, 3)))
+    out, lam = one_layer(np.ones((4, 3)), np.zeros((3, 1)), np.ones((1, 1)))
+    np.testing.assert_array_equal(lam, np.zeros((4, 1)))
+    np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
 
 def test_hyperedge_embeddings_hand_case_with_relu():
-    # single hyperedge: pooled = [-2, 3], relations = [[1]]
-    # embedding = relu([-2, 3]) + [-2, 3] = [-2, 6]
-    h = np.array([[-2.0, 3.0]])
-    lam = np.array([[1.0]])
-    p = params_from(np.zeros((2, 1)), np.array([[1.0]]))
-    e = hyperedge_embeddings(Tensor(h), Tensor(lam), p[1])
-    np.testing.assert_array_equal(e.data, [[-2.0, 6.0]])
+    # single hyperedge with membership 1: pooled = [-2, 3], relations = [[1]]
+    # embedding = relu([-2, 3]) + [-2, 3] = [-2, 6], and the node gets it back
+    out, lam = one_layer(np.array([[-2.0, 3.0]]), np.array([[-0.5], [0.0]]), np.array([[1.0]]))
+    np.testing.assert_array_equal(lam, [[1.0]])
+    np.testing.assert_array_equal(out, [[-2.0, 6.0]])
 
 
 def test_nodes_from_hyperedges_selection():
-    lam = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    edges = np.array([[5.0, 6.0], [7.0, 8.0]])
-    out = nodes_from_hyperedges(Tensor(lam), Tensor(edges))
-    np.testing.assert_array_equal(out.data, [[5.0, 6.0], [7.0, 8.0], [5.0, 6.0]])
+    # one-hot memberships: nodes 0 and 2 share hyperedge 0 and get its row,
+    # node 1 gets hyperedge 1's row; with U = 0 the rows are lam^T h
+    h = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    out, lam = one_layer(h, np.eye(2), np.zeros((2, 2)))
+    np.testing.assert_array_equal(lam, h)
+    np.testing.assert_array_equal(out, [[2.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
 
 
 def test_nodes_from_hyperedges_weighted():
-    out = nodes_from_hyperedges(Tensor([[1.0], [2.0]]), Tensor([[1.0, 1.0]]))
-    np.testing.assert_array_equal(out.data, [[1.0, 1.0], [2.0, 2.0]])
+    # memberships 1 and 2 in one hyperedge whose row is 1*[1, 0] + 2*[2, 0]
+    out, lam = one_layer(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([[1.0], [0.0]]),
+                         np.zeros((1, 1)))
+    np.testing.assert_array_equal(lam, [[1.0], [2.0]])
+    np.testing.assert_array_equal(out, [[5.0, 0.0], [10.0, 0.0]])
 
 
 def test_block_single_layer_is_composition():
+    # the same products in the same order as the straight-line composition, so the same bits
     rng = np.random.default_rng(2)
-    h = Tensor(rng.normal(size=(5, 3)))
-    p = params_from(rng.normal(size=(3, 2)), rng.normal(size=(2, 2)))
-    lam = learn_incidence(h, p[0])
-    direct = nodes_from_hyperedges(lam, hyperedge_embeddings(h, lam, p[1]))
-    block = hypergraph_block(h, *p, n_layers=1)
-    np.testing.assert_array_equal(block.data, direct.data)
+    h, w, u = rng.normal(size=(5, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+    lam = h @ w
+    pooled = lam.T.copy() @ h
+    direct = lam @ (np.maximum(u @ pooled, 0.0) + pooled)
+    out, captured = one_layer(h, w, u)
+    np.testing.assert_array_equal(captured, lam)
+    np.testing.assert_array_equal(out, direct)
 
 
 def test_block_zero_state_fixed_point():
@@ -119,8 +121,7 @@ def test_incidence_is_low_rank():
     rng = np.random.default_rng(6)
     d, n_edges, rows = 3, 5, 12
     h = rng.normal(size=(rows, d))
-    p = params_from(rng.normal(size=(d, n_edges)), np.zeros((n_edges, n_edges)))
-    lam = learn_incidence(Tensor(h), p[0]).data
+    lam = one_layer(h, rng.normal(size=(d, n_edges)), np.zeros((n_edges, n_edges)))[1]
     singular = np.linalg.svd(lam, compute_uv=False)
     assert singular[min(d, n_edges)] < 1e-9 * singular[0]
 

@@ -197,23 +197,27 @@ def test_forward_gradient_spot_check():
 
 def test_predict_frees_intermediates_as_it_goes():
     # Untaped ops keep no graph, so a forward-only pass holds a small part of
-    # what a taped pass of the same window keeps alive (0.09 at this size).
+    # what a taped pass of the same window keeps alive (0.2 at this size).
+    # Both are measured by tracemalloc: a fused op's intermediates live in
+    # its vjp closure, not in tape node values.
     rng = np.random.default_rng(14)
     model = Forecaster(ModelConfig(n_nodes=60, width=32, n_hyperedges=16),
                        small_net(rng, 60, density=0.1), seed=3)
     x = rng.normal(size=(12, 60, 1))
-    with Tape() as tape:
-        model.forward(x)
-    taped_bytes = sum(node.data.nbytes for node in tape.nodes)
-    del tape
     model.predict(x)
     tracemalloc.start()
     try:
+        with Tape() as tape:
+            model.forward(x)
+        taped_bytes = tracemalloc.get_traced_memory()[0]
+        del tape
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         model.predict(x)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * taped_bytes, (peak, taped_bytes)
+    assert peak < 0.25 * taped_bytes, (peak, taped_bytes, peak / taped_bytes)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc heap page faults")
