@@ -1,7 +1,7 @@
 """Traffic flow forecasting with learned dynamic hypergraph structure."""
 
 from .autodiff import Tape, Tensor, finite_difference_check
-from .graphs import RoadNetwork, TemporalGraph, build_temporal_graph, normalize_adjacency, temporal_graph
+from .graphs import RoadNetwork, TemporalGraph, temporal_graph
 from .model import Forecaster, ModelConfig
 from .training import TrainConfig, MetricReport, evaluate, fit, ha_baseline, mae_loss, split_dataset
 from .data import SignalTensor, NormStats, ForecastSample, ingest, make_windows, prepare_dataset, synth_generate
@@ -12,8 +12,6 @@ __all__ = [
     "finite_difference_check",
     "RoadNetwork",
     "TemporalGraph",
-    "build_temporal_graph",
-    "normalize_adjacency",
     "temporal_graph",
     "Forecaster",
     "ModelConfig",

@@ -5,10 +5,13 @@ tape records exactly those and nothing else.  Every value is float64: the
 finite-difference gradient checks need the headroom, and at desk scale the
 storage savings of float32 are irrelevant.
 
-A tape is single-writer: one forward pass records onto it, one backward()
-consumes it.  Tensors are immutable once created and may be shared freely
-(parameters are plain leaf tensors reused across many tapes; their .grad
-accumulates across backward calls until an optimizer clears it).
+Ops take Tensors; wrap a raw array in Tensor() first.  A tape is
+single-writer: one forward pass records onto it and one backward() consumes
+it, and a second backward on the same tape is an error.  Tensors are
+immutable once created and may be shared freely (parameters are plain leaf
+tensors reused across many tapes; their .grad accumulates across backward
+calls until an optimizer clears it).  A recorded node the loss does not
+reach keeps grad None.
 
 Only ops run while a tape is active record a graph.  Outside a tape an op
 returns a constant (no parents, no vjp), so a forward-only pass frees each
@@ -70,9 +73,10 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    # One reduction instead of isfinite().all(): any NaN/Inf entry makes the
-    # sum non-finite (desk-scale magnitudes cannot overflow a float64 sum).
-    if not math.isfinite(arr.sum()):
+    # One reduction on the fast path: any NaN/Inf entry makes the sum
+    # non-finite.  A sum of large finite entries can overflow too, so a
+    # non-finite sum is confirmed entry by entry before raising.
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {where}")
 
 
@@ -108,9 +112,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
@@ -119,7 +120,7 @@ class Tape:
     """Ordered record of one forward pass, consumed by one backward pass."""
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self.nodes: list[Tensor] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -130,36 +131,25 @@ class Tape:
         _tape_stack().pop()
         return False
 
-    @property
-    def nodes(self) -> list[Tensor]:
-        return self._nodes
-
-    def reset(self) -> None:
-        """Discard the recorded pass so the tape can record a fresh one."""
-        self._nodes.clear()
-        self._consumed = False
-
     def backward(self, loss: Tensor) -> None:
         """Reverse-accumulate d(loss)/d(node) for every recorded node.
 
         Leaf tensors with requires_grad=True receive (accumulate into) their
         .grad; constant leaves are skipped.  The loss must be a scalar node
-        recorded on this tape.  A second backward without reset() is an
-        error, matching the single-writer contract.
+        recorded on this tape, and a tape runs backward once.  When two
+        finite contributions to a recorded node's gradient sum to a
+        non-finite value, the error names both ops.
         """
         if self._consumed:
-            raise RuntimeError("backward already ran on this tape; call reset() first")
+            raise RuntimeError("backward already ran on this tape")
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ValueError(f"loss must be a scalar tensor, got shape {getattr(loss, 'shape', None)}")
-        if not any(loss is n for n in self._nodes):
+        if not any(loss is n for n in self.nodes):
             raise ValueError("loss is not a node recorded on this tape")
         self._consumed = True
 
-        for node in self._nodes:
-            node.grad = None
         loss.grad = np.ones_like(loss.data)
-
-        for node in reversed(self._nodes):
+        for node in reversed(self.nodes):
             if node._vjp is None or node.grad is None:
                 continue  # leaf, or not reachable from the loss
             contributions = node._vjp(node.grad)
@@ -168,17 +158,17 @@ class Tape:
                     continue
                 _check_finite(g, f"backward of {node.op}")
                 if parent._vjp is not None:
-                    parent.grad = g if parent.grad is None else parent.grad + g
+                    if parent.grad is None:
+                        parent.grad = g
+                    else:
+                        parent.grad = parent.grad + g
+                        _check_finite(parent.grad, f"backward of {node.op} summed into the gradient of {parent.op}")
                 elif parent.requires_grad:
                     if parent.grad is None:
                         parent.grad = np.array(g)  # owned: accumulates in place
                     else:
                         parent.grad += g
                 # otherwise a constant, gradient not wanted
-
-        for node in self._nodes:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
 
 
 def record(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -201,12 +191,8 @@ def record(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tenso
     if stack:
         out.parents = parents
         out._vjp = vjp
-        stack[-1]._nodes.append(out)
+        stack[-1].nodes.append(out)
     return out
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def tracked(t: Tensor) -> bool:
@@ -219,7 +205,6 @@ def tracked(t: Tensor) -> bool:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
     need_a, need_b = tracked(a), tracked(b)
@@ -231,25 +216,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record(a.data @ b.data, "matmul", (a, b), vjp)
 
 
-def sparse_matmul(sp_mat, x: Tensor, sp_mat_t=None) -> Tensor:
+def sparse_matmul(sp_mat, x: Tensor, sp_mat_t) -> Tensor:
     """Product of a constant scipy sparse matrix with a dense tensor.
 
-    The sparse operand carries no gradient.  Pass the precomputed transpose
-    when available; otherwise it is formed on demand in the backward pass.
+    The sparse operand carries no gradient; backward multiplies by its
+    precomputed transpose `sp_mat_t`.
     """
-    x = as_tensor(x)
     if x.data.ndim != 2 or sp_mat.shape[1] != x.shape[0]:
         raise ShapeError(f"sparse_matmul: cannot multiply {sp_mat.shape} by {x.shape}")
 
     def vjp(g):
-        t = sp_mat_t if sp_mat_t is not None else sp_mat.T
-        return (t @ g,)
+        return (sp_mat_t @ g,)
 
     return record(np.asarray(sp_mat @ x.data), "sparse_matmul", (x,), vjp)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
     need_a, need_b = tracked(a), tracked(b)
@@ -263,7 +245,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a 1-D row bias against a 2-D tensor."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape == b.shape:
         return record(a.data + b.data, "add", (a, b), lambda g: (g, g))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
@@ -272,32 +253,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
     return record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = as_tensor(a)
     return record(a.data * c, "scale", (a,), lambda g: (g * c,))
 
 
 def relu(a: Tensor) -> Tensor:
     # Subgradient at 0 is 0: the mask is strict.
-    a = as_tensor(a)
     return record(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0),))
 
 
 def absolute(a: Tensor) -> Tensor:
     # sign(0) = 0 gives the subgradient-0 tie rule used by the MAE loss.
-    a = as_tensor(a)
     return record(np.abs(a.data), "absolute", (a,), lambda g: (g * np.sign(a.data),))
 
 
 def mean_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-
     def vjp(g):
         return (np.full(a.shape, float(g) / a.size),)
 
@@ -305,19 +280,16 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     return record(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.full(a.shape, float(g)),))
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
     return record(a.data.T.copy(), "transpose", (a,), lambda g: (g.T,))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: shapes {a.shape} and {b.shape} do not stack")
     split = a.shape[1]
@@ -329,7 +301,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
     if not (0 <= start <= stop <= a.shape[0]):
         raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.shape}")
 
@@ -343,7 +314,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 def tile_rows(a: Tensor, reps: int) -> Tensor:
     """Vertically stack `reps` copies of a matrix: [a; a; ...; a]."""
-    a = as_tensor(a)
     n, d = a.shape
 
     def vjp(g):
@@ -354,7 +324,6 @@ def tile_rows(a: Tensor, reps: int) -> Tensor:
 
 def repeat_rows(a: Tensor, reps: int) -> Tensor:
     """Repeat each row `reps` times consecutively."""
-    a = as_tensor(a)
     n, d = a.shape
 
     def vjp(g):
@@ -371,7 +340,6 @@ def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tenso
     in each window (argmax tie rule), which keeps backward deterministic.
     Window 1 is the identity.
     """
-    a = as_tensor(a)
     if t_steps % window != 0:
         raise ShapeError(f"window_max_rows: window {window} does not divide {t_steps} steps")
     if a.shape[0] != t_steps * n_nodes:
@@ -393,7 +361,6 @@ def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tenso
 
 def mean_over_time(a: Tensor, t_steps: int, n_nodes: int) -> Tensor:
     """Average a time-major (t_steps*n_nodes, d) matrix down to (n_nodes, d)."""
-    a = as_tensor(a)
     if a.shape[0] != t_steps * n_nodes:
         raise ShapeError(f"mean_over_time: expected {t_steps * n_nodes} rows, got {a.shape[0]}")
     d = a.shape[1]
@@ -405,7 +372,6 @@ def mean_over_time(a: Tensor, t_steps: int, n_nodes: int) -> Tensor:
 
 
 def softmax_vec(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     if a.data.ndim != 1:
         raise ShapeError(f"softmax_vec: expected a vector, got shape {a.shape}")
     shifted = a.data - a.data.max()
@@ -420,8 +386,6 @@ def softmax_vec(a: Tensor) -> Tensor:
 
 def linear_combination(xs: Sequence[Tensor], coeffs: Tensor) -> Tensor:
     """Sum of same-shaped tensors weighted by the entries of a vector."""
-    xs = [as_tensor(x) for x in xs]
-    coeffs = as_tensor(coeffs)
     if coeffs.data.ndim != 1 or len(xs) != coeffs.size:
         raise ShapeError(f"linear_combination: {len(xs)} tensors vs {coeffs.shape} coefficients")
     if any(x.shape != xs[0].shape for x in xs):

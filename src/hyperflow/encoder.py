@@ -50,8 +50,6 @@ def encoder_layer(h: Tensor, graph: TemporalGraph, w: Tensor) -> Tensor:
 
 def graph_convolution(h: Tensor, graph: TemporalGraph, layers: Sequence[Tensor]) -> Tensor:
     """Stacked propagation h <- relu(A_norm h W), one (d, d) W per layer."""
-    if graph.normalized is None:
-        raise ValueError("temporal graph must be normalized before convolution")
     if h.shape[0] != graph.n_nodes:
         raise ValueError(f"state matrix has {h.shape[0]} rows, graph has {graph.n_nodes} nodes")
     for w in layers:

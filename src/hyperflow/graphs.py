@@ -4,13 +4,13 @@ The time expansion turns N road nodes observed over T steps into one graph
 of N*T observation nodes: each step keeps a copy of the spatial edges,
 every observation gets a unit self-loop, and each observation links forward
 to the same sensor at the next step.  Node ids are time-major, t * N + i,
-so per-step slices of state matrices are contiguous.
+so per-step slices of state matrices are contiguous.  `temporal_graph` is
+the one constructor: it builds the expansion and row-normalizes it.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,35 +38,31 @@ class RoadNetwork:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
 
-    def adjacency(self) -> sp.csr_matrix:
-        n = self.n_nodes
-        if not self.edges:
-            return sp.csr_matrix((n, n))
-        u, v, w = zip(*self.edges)
-        return sp.coo_matrix((w, (u, v)), shape=(n, n)).tocsr()
-
 
 @dataclass
 class TemporalGraph:
-    """Time expansion of a road network over t_steps observations."""
+    """Time expansion of a road network over t_steps observations, with its
+    row-normalized adjacency and that matrix's transpose."""
 
     n_road_nodes: int
     t_steps: int
     adjacency: sp.csr_matrix
-    normalized: sp.csr_matrix | None = None
-    normalized_t: sp.csr_matrix | None = None
+    normalized: sp.csr_matrix
+    normalized_t: sp.csr_matrix
 
     @property
     def n_nodes(self) -> int:
         return self.n_road_nodes * self.t_steps
 
 
-def build_temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
+def temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
     """Expand a road network over t_steps per the case rule:
 
     entry((t,i) -> (t',j)) = A_ij when t' = t and i != j, 1 when i = j and
     t' in {t, t+1}, else 0.  A diagonal entry of A is superseded by the unit
-    self-loop, so it contributes no extra nonzero.
+    self-loop, so it contributes no extra nonzero.  The normalized matrix
+    divides each row by its sum, so every observation's incoming weights
+    sum to 1.
     """
     if t_steps < 1:
         raise ValueError(f"temporal graph needs t_steps >= 1, got {t_steps}")
@@ -97,22 +93,12 @@ def build_temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(total, total),
     ).tocsr()
-    return TemporalGraph(n_road_nodes=n, t_steps=t_steps, adjacency=adj)
-
-
-def normalize_adjacency(g: TemporalGraph) -> TemporalGraph:
-    """Row-normalize so every observation's incoming weights sum to 1."""
-    sums = np.asarray(g.adjacency.sum(axis=1)).ravel()
+    sums = np.asarray(adj.sum(axis=1)).ravel()
     if np.any(sums <= 0):
         raise RuntimeError("temporal graph has an empty row; self-loops should make this impossible")
-    norm = sp.diags(1.0 / sums) @ g.adjacency
-    norm = norm.tocsr()
-    return dataclasses.replace(g, normalized=norm, normalized_t=norm.T.tocsr())
-
-
-def temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
-    """Build and normalize in one call."""
-    return normalize_adjacency(build_temporal_graph(net, t_steps))
+    norm = (sp.diags(1.0 / sums) @ adj).tocsr()
+    return TemporalGraph(n_road_nodes=n, t_steps=t_steps, adjacency=adj,
+                         normalized=norm, normalized_t=norm.T.tocsr())
 
 
 def read_edge_csv(path, n_nodes: int | None = None) -> list[tuple[int, int, float]]:

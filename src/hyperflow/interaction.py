@@ -24,8 +24,6 @@ def interaction_block(h: Tensor, graph: TemporalGraph, pair_left: Tensor, pair_r
     one product with the weights side by side, and backward forms the
     weight and input gradients with one product each.
     """
-    if graph.normalized is None:
-        raise ValueError("temporal graph must be normalized before interaction")
     if h.shape[0] != graph.n_nodes:
         raise ValueError(f"state matrix has {h.shape[0]} rows, graph has {graph.n_nodes} nodes")
     weights = (pair_left, pair_right, through)

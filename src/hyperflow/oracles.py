@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
 from .encoder import encoder_layer
-from .graphs import RoadNetwork, build_temporal_graph, normalize_adjacency, temporal_graph
+from .graphs import RoadNetwork, temporal_graph
 from .hyperedges import hypergraph_layer
 from .interaction import interaction_block
 from .model import Forecaster, ModelConfig, average
@@ -121,6 +121,20 @@ def check_op_gradients(seed: int) -> list[OracleResult]:
         "interaction_block": (lambda p: weighted(interaction_block(p, sp_graph, w1, w2, w3)), live(6, 3)),
         "average": (lambda p: weighted(average(p, c63)), live(6, 3)),
     })
+
+    # The ops of the head, the scale fusion and the loss.
+    c62, c65, d63, e63 = (Tensor(rng.normal(size=s)) for s in [(6, 2), (6, 5), (6, 3), (6, 3)])
+    cases.update({
+        "add": (lambda p: weighted(ad.add(p, ad.hadamard(p, p))), rng.normal(size=(6, 3))),
+        "add_bias": (lambda p: weighted(ad.add(d63, p)), rng.normal(size=(3,))),
+        "sub": (lambda p: weighted(ad.sub(ad.hadamard(p, p), p)), rng.normal(size=(6, 3))),
+        "scale": (lambda p: weighted(ad.scale(p, -1.7)), rng.normal(size=(6, 3))),
+        "concat": (lambda p: ad.sum_all(ad.hadamard(ad.concat_cols(c62, p), c65)), rng.normal(size=(6, 3))),
+        "transpose": (lambda p: weighted(ad.transpose(p)), rng.normal(size=(3, 6))),
+        # p is both the coefficient vector and, through add_bias, one of the summands
+        "linear_combination": (lambda p: weighted(ad.linear_combination([d63, ad.add(e63, p), c63], p)),
+                               rng.normal(size=(3,))),
+    })
     for name, (f, theta) in cases.items():
         err = finite_difference_check(f, Tensor(theta))
         results.append(OracleResult("op_gradients", name, tol, err))
@@ -203,7 +217,7 @@ def check_temporal_graph(seed: int, n_graphs: int = 25) -> list[OracleResult]:
         n = int(rng.integers(1, 30))
         t = int(rng.integers(1, 13))
         net = _random_net(rng, n, density=0.2)
-        g = normalize_adjacency(build_temporal_graph(net, t))
+        g = temporal_graph(net, t)
         sums = np.asarray(g.normalized.sum(axis=1)).ravel()
         worst_row = max(worst_row, float(np.max(np.abs(sums - 1.0))))
         expected = t * len(net.edges) + n * t + n * (t - 1)

@@ -133,12 +133,6 @@ class FitResult:
     steps: int = 0
 
 
-def _denorm(y: np.ndarray, stats) -> np.ndarray:
-    if stats is None:
-        return y
-    return y * stats.std[0] + stats.mean[0]
-
-
 def predict_batch(model, samples) -> np.ndarray:
     """Stacked (n, horizon, N) normalized predictions, no recording."""
     return np.stack([model.predict(s.input) for s in samples])
@@ -154,6 +148,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
     accumulated during the epoch, the val row a dedicated pass.  Parameters
     with the best validation MAE are restored at the end.
     """
+    denorm = (lambda y: y) if stats is None else stats.invert_flow
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.named_parameters(), lr=cfg.lr, beta1=cfg.beta1,
                beta2=cfg.beta2, eps=cfg.adam_eps)
@@ -183,15 +178,15 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
             result.steps += 1
             epoch_trues.extend(s.target for s in batch)
 
-        train_report = evaluate(_denorm(np.stack(epoch_preds), stats),
-                                _denorm(np.stack(epoch_trues), stats))
+        train_report = evaluate(denorm(np.stack(epoch_preds)),
+                                denorm(np.stack(epoch_trues)))
         result.history.append((epoch, "train", train_report))
 
         val_report = None
         if val_samples:
             val_pred = predict_batch(model, val_samples)
             val_true = np.stack([s.target for s in val_samples])
-            val_report = evaluate(_denorm(val_pred, stats), _denorm(val_true, stats))
+            val_report = evaluate(denorm(val_pred), denorm(val_true))
             result.history.append((epoch, "val", val_report))
             if result.best_val_mae is None or val_report.mae < result.best_val_mae:
                 result.best_val_mae = val_report.mae

@@ -16,7 +16,7 @@ import pytest
 import hyperflow as hf
 from hyperflow.autodiff import Tensor, softmax_vec, window_max_rows
 from hyperflow.cli import main
-from hyperflow.graphs import RoadNetwork, build_temporal_graph, normalize_adjacency
+from hyperflow.graphs import RoadNetwork, temporal_graph
 from hyperflow.model import Forecaster, ModelConfig
 from hyperflow.oracles import interaction_pair_sum, model_gradient_errors, permuted_copy, _random_net
 from hyperflow.training import TrainConfig, evaluate, fit, ha_baseline, predict_batch
@@ -107,7 +107,7 @@ def test_criterion_4_structural_invariants():
             if u != v:
                 pairs.add((int(u), int(v)))
         net = RoadNetwork(n, tuple((u, v, float(rng.uniform(0.1, 2.0))) for u, v in pairs))
-        g = normalize_adjacency(build_temporal_graph(net, t))
+        g = temporal_graph(net, t)
         sums = np.asarray(g.normalized.sum(axis=1)).ravel()
         worst_row = max(worst_row, float(np.max(np.abs(sums - 1.0))))
         expected = t * len(net.edges) + n * t + n * (t - 1)

@@ -3,7 +3,7 @@ import pytest
 
 from hyperflow.autodiff import Tensor
 from hyperflow.encoder import build_node_features, graph_convolution
-from hyperflow.graphs import RoadNetwork, build_temporal_graph, temporal_graph
+from hyperflow.graphs import RoadNetwork, temporal_graph
 from hyperflow.model import ModelConfig, init_params
 
 
@@ -84,13 +84,6 @@ def test_zero_state_is_fixed_point():
     p = encoder_params(3, 1, 4, 6, 3, rng)
     out = convolve(Tensor(np.zeros((12, 6))), g, p)
     np.testing.assert_array_equal(out.data, np.zeros((12, 6)))
-
-
-def test_unnormalized_graph_rejected():
-    g = build_temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 2)
-    p = encoder_params(n=2, f=1, t=2, d=2, layers=1)
-    with pytest.raises(ValueError, match="normalized"):
-        convolve(Tensor(np.zeros((4, 2))), g, p)
 
 
 def test_permutation_equivariance():

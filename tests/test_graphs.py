@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from hyperflow.graphs import (
     RoadNetwork,
-    build_temporal_graph,
-    normalize_adjacency,
     read_edge_csv,
     temporal_graph,
     write_edge_csv,
@@ -23,13 +21,13 @@ def random_net(rng, n, n_edges):
 
 
 def test_single_node_single_step_is_one_self_loop():
-    g = build_temporal_graph(RoadNetwork(1, ()), 1)
+    g = temporal_graph(RoadNetwork(1, ()), 1)
     assert g.adjacency.toarray().tolist() == [[1.0]]
 
 
 def test_two_node_two_step_enumeration():
     # N=2, A = [[0,1],[0,0]], T=2: 2 spatial copies + 4 self-loops + 2 temporal
-    g = build_temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 2)
+    g = temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 2)
     assert g.n_nodes == 4
     assert g.adjacency.nnz == 8
     dense = g.adjacency.toarray()
@@ -46,14 +44,14 @@ def test_pems08_sized_count():
     # 170 sensors, 295 directed edges, 12 steps
     rng = np.random.default_rng(8)
     net = random_net(rng, 170, 295)
-    g = build_temporal_graph(net, 12)
+    g = temporal_graph(net, 12)
     assert g.n_nodes == 2040
     assert g.adjacency.nnz == 12 * 295 + 170 * 12 + 170 * 11  # == 7450
 
 
 def test_diagonal_input_edge_is_superseded_by_self_loop():
     net = RoadNetwork(2, ((0, 0, 5.0), (0, 1, 2.0)))
-    g = build_temporal_graph(net, 1)
+    g = temporal_graph(net, 1)
     dense = g.adjacency.toarray()
     assert dense[0, 0] == 1.0  # unit self-loop wins over A_00 = 5
     assert dense[0, 1] == 2.0
@@ -61,13 +59,13 @@ def test_diagonal_input_edge_is_superseded_by_self_loop():
 
 
 def test_zero_weight_edge_adds_no_nonzero():
-    g = build_temporal_graph(RoadNetwork(2, ((0, 1, 0.0),)), 1)
+    g = temporal_graph(RoadNetwork(2, ((0, 1, 0.0),)), 1)
     assert g.adjacency.nnz == 2  # self-loops only
 
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        build_temporal_graph(RoadNetwork(2, ()), 0)
+        temporal_graph(RoadNetwork(2, ()), 0)
     with pytest.raises(ValueError):
         RoadNetwork(0, ())
     with pytest.raises(ValueError):
@@ -79,7 +77,7 @@ def test_invalid_arguments():
 
 
 def test_normalize_rows():
-    g = normalize_adjacency(build_temporal_graph(RoadNetwork(3, ((0, 1, 1.0), (0, 2, 2.0))), 1))
+    g = temporal_graph(RoadNetwork(3, ((0, 1, 1.0), (0, 2, 2.0))), 1)
     dense = g.normalized.toarray()
     np.testing.assert_allclose(dense[0], [0.25, 0.25, 0.5])
     np.testing.assert_allclose(dense[1], [0.0, 1.0, 0.0])  # isolated self-loop row
@@ -99,7 +97,7 @@ def test_nonzero_count_formula(n, t, seed):
     max_edges = n * (n - 1)
     n_edges = int(rng.integers(0, min(max_edges, 3 * n) + 1))
     net = random_net(rng, n, n_edges) if n_edges else RoadNetwork(n, ())
-    g = build_temporal_graph(net, t)
+    g = temporal_graph(net, t)
     assert g.adjacency.nnz == t * n_edges + n * t + n * (t - 1)
 
 
@@ -111,8 +109,8 @@ def test_relabeling_permutes_blocks(n, t, seed):
     perm = rng.permutation(n)
     permuted = RoadNetwork(n, tuple((int(perm[u]), int(perm[v]), w) for u, v, w in net.edges))
 
-    g = build_temporal_graph(net, t).adjacency.toarray()
-    gp = build_temporal_graph(permuted, t).adjacency.toarray()
+    g = temporal_graph(net, t).adjacency.toarray()
+    gp = temporal_graph(permuted, t).adjacency.toarray()
 
     # block-consistent expansion of the node permutation across time steps
     full = np.concatenate([perm + s * n for s in range(t)])

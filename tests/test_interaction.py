@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from hyperflow.autodiff import Tensor, absolute, finite_difference_check, mean_all, sub
-from hyperflow.graphs import RoadNetwork, build_temporal_graph, temporal_graph
+from hyperflow.graphs import RoadNetwork, temporal_graph
 from hyperflow.interaction import interaction_block
 from hyperflow.oracles import interaction_pair_sum
 
@@ -93,13 +92,6 @@ def test_neighbor_order_does_not_change_aggregation():
     rng.shuffle(shuffled)
     other = interaction_block(Tensor(h), temporal_graph(RoadNetwork(3, tuple(shuffled)), 3), *p).data
     np.testing.assert_array_equal(base, other)
-
-
-def test_unnormalized_graph_rejected():
-    g = build_temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 1)
-    p = params_from(np.eye(2), np.eye(2), np.eye(2))
-    with pytest.raises(ValueError, match="normalized"):
-        interaction_block(Tensor(np.zeros((2, 2))), g, *p)
 
 
 def test_block_gradient_check():
