@@ -7,11 +7,14 @@ storage savings of float32 are irrelevant.
 
 Ops take Tensors; wrap a raw array in Tensor() first.  A tape is
 single-writer: one forward pass records onto it and one backward() consumes
-it, and a second backward on the same tape is an error.  Tensors are
-immutable once created and may be shared freely (parameters are plain leaf
-tensors reused across many tapes; their .grad accumulates across backward
-calls until an optimizer clears it).  A recorded node the loss does not
-reach keeps grad None.
+it, and a second backward on the same tape is an error.  Backward drops
+each node's vjp and parents once it has passed the node, so the
+intermediates held in vjp closures are freed during the pass; after
+backward a node keeps its data and grad.  Tensors are immutable once
+created and may be shared freely (parameters are plain leaf tensors reused
+across many tapes; their .grad accumulates across backward calls until an
+optimizer clears it).  A recorded node the loss does not reach keeps grad
+None.
 
 Only ops run while a tape is active record a graph.  Outside a tape an op
 returns a constant (no parents, no vjp), so a forward-only pass frees each
@@ -23,13 +26,16 @@ backward stores the first contribution as it is and sums later ones into
 a new array.  A requires_grad leaf owns its .grad and accumulates into it
 in place.
 
-The model's repeated blocks (an encoder layer, a hypergraph layer, the
-interaction block and the average of the two blocks) are single ops with
-hand-written vjps, defined next to the blocks in their own modules through
-`record`.  The contract above is unchanged for them: one node per call, no
-graph outside a tape, no gradient computed for an input that is not
-`tracked`, gradients never written in place, and a non-finite value or
-gradient names the op.
+The ops the model runs take one window's (rows, d) state or a node-major
+(rows, B, d) stack of B windows, with the same code for both.
+
+The model's repeated blocks (the input features, an encoder layer, a
+hypergraph layer, the interaction block, the average of the two blocks and
+the loss) are single ops with hand-written vjps, defined next to the
+blocks in their own modules through `record`.  The contract above is
+unchanged for them: one node per call, no graph outside a tape, no
+gradient computed for an input that is not `tracked`, gradients never
+written in place, and a non-finite value or gradient names the op.
 
 Every op allocates a fresh output.  A forward pass that frees as it goes
 shrinks glibc's heap back to the OS by its end, and the next pass faults
@@ -73,10 +79,12 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    # One reduction on the fast path: any NaN/Inf entry makes the sum
-    # non-finite.  A sum of large finite entries can overflow too, so a
-    # non-finite sum is confirmed entry by entry before raising.
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    # One BLAS dot product on the fast path: a NaN or an infinite entry
+    # makes arr·arr non-finite.  Finite entries above about 1e154 overflow
+    # it as well, so a non-finite result is confirmed entry by entry.
+    # Unlike sum() and dot(), vdot() raises no overflow warning, and it
+    # allocates nothing for a contiguous array.
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {where}")
 
 
@@ -136,7 +144,8 @@ class Tape:
 
         Leaf tensors with requires_grad=True receive (accumulate into) their
         .grad; constant leaves are skipped.  The loss must be a scalar node
-        recorded on this tape, and a tape runs backward once.  When two
+        recorded on this tape, and a tape runs backward once.  Every recorded
+        node keeps its data and grad and loses its parents and vjp.  When two
         finite contributions to a recorded node's gradient sum to a
         non-finite value, the error names both ops.
         """
@@ -150,10 +159,14 @@ class Tape:
 
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            if node._vjp is None or node.grad is None:
-                continue  # leaf, or not reachable from the loss
-            contributions = node._vjp(node.grad)
-            for parent, g in zip(node.parents, contributions):
+            # Release the closure and the links as the pass goes, so the
+            # intermediates a vjp holds are freed once it has run.
+            vjp, parents = node._vjp, node.parents
+            node._vjp, node.parents = None, ()
+            if node.grad is None:
+                continue  # not reachable from the loss
+            contributions = vjp(node.grad)
+            for parent, g in zip(parents, contributions):
                 if g is None:
                     continue
                 _check_finite(g, f"backward of {node.op}")
@@ -205,15 +218,18 @@ def tracked(t: Tensor) -> bool:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a @ b for a matrix b; a may carry a window axis, (R, B, k) @ (k, m)."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
     need_a, need_b = tracked(a), tracked(b)
+    a2 = a.data.reshape(-1, b.shape[0])
 
     def vjp(g):
-        return (g @ b.data.T if need_a else None,
-                a.data.T @ g if need_b else None)
+        g2 = g.reshape(-1, b.shape[1])
+        return ((g2 @ b.data.T).reshape(a.shape) if need_a else None,
+                a2.T @ g2 if need_b else None)
 
-    return record(a.data @ b.data, "matmul", (a, b), vjp)
+    return record((a2 @ b.data).reshape(*a.shape[:-1], b.shape[1]), "matmul", (a, b), vjp)
 
 
 def sparse_matmul(sp_mat, x: Tensor, sp_mat_t) -> Tensor:
@@ -244,11 +260,13 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D row bias against a 2-D tensor."""
+    """Elementwise sum; also accepts a 1-D bias along the last axis of a
+    2-D or 3-D tensor."""
     if a.shape == b.shape:
         return record(a.data + b.data, "add", (a, b), lambda g: (g, g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return record(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
+    if a.data.ndim in (2, 3) and b.data.ndim == 1 and a.shape[-1] == b.shape[0]:
+        return record(a.data + b.data, "add_bias", (a, b),
+                      lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)))
     raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
 
@@ -284,20 +302,24 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return record(a.data.T.copy(), "transpose", (a,), lambda g: (g.T,))
+    """Move the row axis last: a matrix's transpose, and (R, B, k) -> (B, k, R)."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose: expected a matrix or a stack of windows, got shape {a.shape}")
+    axes = (*range(1, a.data.ndim), 0)
+    back = (a.data.ndim - 1, *range(a.data.ndim - 1))
+    return record(a.data.transpose(axes).copy(), "transpose", (a,), lambda g: (g.transpose(back),))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
+    """Join along the last axis; every other axis must agree."""
+    if a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"concat_cols: shapes {a.shape} and {b.shape} do not stack")
-    split = a.shape[1]
+    split = a.shape[-1]
 
     def vjp(g):
-        return g[:, :split], g[:, split:]
+        return g[..., :split], g[..., split:]
 
-    return record(np.concatenate([a.data, b.data], axis=1), "concat_cols", (a, b), vjp)
+    return record(np.concatenate([a.data, b.data], axis=-1), "concat_cols", (a, b), vjp)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -335,10 +357,10 @@ def repeat_rows(a: Tensor, reps: int) -> Tensor:
 def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tensor:
     """Per-node elementwise max over non-overlapping windows of time steps.
 
-    The input is time-major with t_steps blocks of n_nodes rows; the output
-    has t_steps// window blocks.  Gradient flows to the earliest maximizer
-    in each window (argmax tie rule), which keeps backward deterministic.
-    Window 1 is the identity.
+    The input is time-major with t_steps blocks of n_nodes rows, (R, d) or
+    (R, B, d) with a window axis; the output has t_steps // window blocks.
+    Gradient flows to the earliest maximizer in each window (argmax tie
+    rule), which keeps backward deterministic.  Window 1 is the identity.
     """
     if t_steps % window != 0:
         raise ShapeError(f"window_max_rows: window {window} does not divide {t_steps} steps")
@@ -347,28 +369,28 @@ def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tenso
     if window == 1:
         return record(a.data, "window_max_rows", (a,), lambda g: (g,))
     k = t_steps // window
-    d = a.shape[1]
-    blocks = a.data.reshape(k, window, n_nodes, d)
+    rest = a.shape[1:]
+    blocks = a.data.reshape(k, window, n_nodes, *rest)
 
     def vjp(g):
         idx = blocks.argmax(axis=1)
         z = np.zeros_like(blocks)
-        np.put_along_axis(z, idx[:, None], g.reshape(k, 1, n_nodes, d), axis=1)
-        return (z.reshape(t_steps * n_nodes, d),)
+        np.put_along_axis(z, idx[:, None], g.reshape(k, 1, n_nodes, *rest), axis=1)
+        return (z.reshape(a.shape),)
 
-    return record(blocks.max(axis=1).reshape(k * n_nodes, d), "window_max_rows", (a,), vjp)
+    return record(blocks.max(axis=1).reshape(k * n_nodes, *rest), "window_max_rows", (a,), vjp)
 
 
 def mean_over_time(a: Tensor, t_steps: int, n_nodes: int) -> Tensor:
-    """Average a time-major (t_steps*n_nodes, d) matrix down to (n_nodes, d)."""
+    """Average a time-major (t_steps*n_nodes, ...) state down to (n_nodes, ...)."""
     if a.shape[0] != t_steps * n_nodes:
         raise ShapeError(f"mean_over_time: expected {t_steps * n_nodes} rows, got {a.shape[0]}")
-    d = a.shape[1]
+    rest = a.shape[1:]
 
     def vjp(g):
-        return (np.tile(g / t_steps, (t_steps, 1)),)
+        return (np.tile(g / t_steps, (t_steps,) + (1,) * len(rest)),)
 
-    return record(a.data.reshape(t_steps, n_nodes, d).mean(axis=0), "mean_over_time", (a,), vjp)
+    return record(a.data.reshape(t_steps, n_nodes, *rest).mean(axis=0), "mean_over_time", (a,), vjp)
 
 
 def softmax_vec(a: Tensor) -> Tensor:
@@ -390,14 +412,15 @@ def linear_combination(xs: Sequence[Tensor], coeffs: Tensor) -> Tensor:
         raise ShapeError(f"linear_combination: {len(xs)} tensors vs {coeffs.shape} coefficients")
     if any(x.shape != xs[0].shape for x in xs):
         raise ShapeError("linear_combination: tensor shapes differ")
-    stack = np.stack([x.data for x in xs])
+    # The product tensordot would form, without its Python overhead.
+    out = np.dot(coeffs.data[None], np.stack([x.data.ravel() for x in xs])).reshape(xs[0].shape)
 
     def vjp(g):
         grads = [c * g for c in coeffs.data]
         grads.append(np.array([np.sum(g * x.data) for x in xs]))
         return grads
 
-    return record(np.tensordot(coeffs.data, stack, axes=1), "linear_combination", (*xs, coeffs), vjp)
+    return record(out, "linear_combination", (*xs, coeffs), vjp)
 
 
 # ---------------------------------------------------------------------------

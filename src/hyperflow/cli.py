@@ -177,10 +177,10 @@ def cmd_predict(args) -> int:
     if not samples:
         raise ValueError(f"split {args.split!r} is empty")
     lookback = model.cfg.lookback
+    preds = stats.invert_flow(predict_batch(model, samples))
     with open(args.out, "w", newline="") as fh:
         fh.write("t,node,y_true,y_pred\n")
-        for sample in samples:
-            pred = stats.invert_flow(model.predict(sample.input))
+        for sample, pred in zip(samples, preds):
             true = stats.invert_flow(sample.target)
             for k in range(pred.shape[0]):
                 t_abs = sample.start + lookback + k

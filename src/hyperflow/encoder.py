@@ -11,41 +11,57 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, record, repeat_rows, tile_rows, tracked
+from .autodiff import Tensor, record, tracked
+from .autodiff import matmul  # noqa: F401  perfbench/layertrace.py wraps matmul under this name
 from .graphs import TemporalGraph
 
 
 def build_node_features(x: np.ndarray, input_proj: Tensor, spatial: Tensor, temporal: Tensor) -> Tensor:
-    """Initial state matrix: row (t*N + i) = x[t,i] W_in + spatial[i] + temporal[t].
+    """Initial state: row (t*N + i) = x[t,i] W_in + spatial[i] + temporal[t], one tape op.
 
-    input_proj is (F, d), spatial (N, d) with one row per sensor, temporal
-    (T, d) with one row per step.
+    x is one window (T, N, F), giving a (T*N, d) state, or B windows
+    (B, T, N, F), giving (T*N, B, d) with the window axis after the row
+    axis.  input_proj is (F, d), spatial (N, d) with one row per sensor,
+    temporal (T, d) with one row per step.
     """
-    t_steps, n_nodes, n_features = x.shape
+    *lead, t_steps, n_nodes, n_features = x.shape
     if n_features != input_proj.shape[0]:
         raise ValueError(f"signal has {n_features} features, projection expects {input_proj.shape[0]}")
     if n_nodes != spatial.shape[0]:
         raise ValueError(f"signal has {n_nodes} nodes, spatial table has {spatial.shape[0]}")
     if t_steps != temporal.shape[0]:
         raise ValueError(f"signal has {t_steps} steps, temporal table has {temporal.shape[0]}")
-    flat = Tensor(x.reshape(t_steps * n_nodes, n_features))
-    projected = matmul(flat, input_proj)
-    h = add(projected, tile_rows(spatial, t_steps))
-    return add(h, repeat_rows(temporal, n_nodes))
+    need_w, need_s, need_t = tracked(input_proj), tracked(spatial), tracked(temporal)
+    d = input_proj.shape[1]
+    # Rows (t, i) first, then windows, so that each row is contiguous.
+    flat = np.moveaxis(x.reshape(-1, t_steps, n_nodes, n_features), 0, 2).reshape(-1, n_features)
+    proj = (flat @ input_proj.data).reshape(t_steps, n_nodes, -1, d)
+    out = (proj + spatial.data[:, None]) + temporal.data[:, None, None]
+
+    def vjp(g):
+        g4 = g.reshape(t_steps, n_nodes, -1, d)
+        return (flat.T @ g.reshape(-1, d) if need_w else None,
+                g4.sum(axis=(0, 2)) if need_s else None,
+                g4.sum(axis=(1, 2)) if need_t else None)
+
+    return record(out.reshape(t_steps * n_nodes, *lead, d), "node_features",
+                  (input_proj, spatial, temporal), vjp)
 
 
 def encoder_layer(h: Tensor, graph: TemporalGraph, w: Tensor) -> Tensor:
-    """relu(A_norm (h W)) as one tape op."""
+    """relu(A_norm (h W)) as one tape op; h is (R, d) or (R, B, d)."""
     need_h, need_w = tracked(h), tracked(w)
-    hw = h.data @ w.data
+    rows, d = h.shape[0], w.shape[1]
+    h2 = h.data.reshape(-1, w.shape[0])
+    hw = (h2 @ w.data).reshape(rows, -1)
     out = np.maximum(np.asarray(graph.normalized @ hw), 0.0)
 
     def vjp(g):
-        g_hw = graph.normalized_t @ (g * (out > 0))
-        return (g_hw @ w.data.T if need_h else None,
-                h.data.T @ g_hw if need_w else None)
+        g_hw = (graph.normalized_t @ (g.reshape(rows, -1) * (out > 0))).reshape(-1, d)
+        return ((g_hw @ w.data.T).reshape(h.shape) if need_h else None,
+                h2.T @ g_hw if need_w else None)
 
-    return record(out, "encoder_layer", (h, w), vjp)
+    return record(out.reshape(*h.shape[:-1], d), "encoder_layer", (h, w), vjp)
 
 
 def graph_convolution(h: Tensor, graph: TemporalGraph, layers: Sequence[Tensor]) -> Tensor:

@@ -25,33 +25,47 @@ def hypergraph_layer(h: Tensor, factor: Tensor, relations: Tensor,
     activation or normalization).  P = lam^T h pools each hyperedge's
     members, E = relu(U P) + P mixes the hyperedges through the (I, I)
     relations matrix U with a residual, and each node becomes the
-    membership-weighted sum lam E of its hyperedge rows.  `capture`
-    receives a copy of lam.
+    membership-weighted sum lam E of its hyperedge rows.  h is one window
+    (R, d) or B windows (R, B, d); P and E are per window, the weights are
+    shared.  `capture` receives a copy of lam.
     """
-    if h.shape[1] != factor.shape[0]:
-        raise ValueError(f"state width {h.shape[1]} does not match factor rows {factor.shape[0]}")
+    shape = h.data.shape
+    rows, d, n_edges = shape[0], shape[-1], factor.data.shape[1]
+    if d != factor.data.shape[0]:
+        raise ValueError(f"state width {d} does not match factor rows {factor.data.shape[0]}")
     need_h, need_f, need_u = tracked(h), tracked(factor), tracked(relations)
-    lam = h.data @ factor.data
+    h2 = h.data.reshape(-1, d)
+    lam2 = h2 @ factor.data
     if capture is not None:
-        capture.append(lam.copy())
-    # A contiguous lam^T keeps the BLAS call, and so the bits, of the
-    # transpose-then-matmul composition this op replaces.
-    pooled = lam.T.copy() @ h.data
+        capture.append(lam2.reshape(*shape[:-1], n_edges).copy())
+    # Per-window products run on window-major (B, R, .) views.  lam^T is
+    # copied to C order so that a window gets the BLAS call, and so the
+    # bits, of the transpose-then-matmul composition this op replaces.
+    h_w = h2.reshape(rows, -1, d).transpose(1, 0, 2)
+    lam_w = lam2.reshape(rows, -1, n_edges).transpose(1, 0, 2)
+    lam_t = lam_w.transpose(0, 2, 1).copy()
+    pooled = lam_t @ h_w
     mixed = relations.data @ pooled
     edges = np.maximum(mixed, 0.0) + pooled
 
+    def to_rows(a_w):  # (B, R, k) back to (R, k) or (R, B, k), in C order
+        return a_w.transpose(1, 0, 2).reshape(-1, a_w.shape[2]).reshape(*shape[:-1], a_w.shape[2])
+
     def vjp(g):
-        g_edges = lam.T @ g
+        g_w = g.reshape(rows, -1, d).transpose(1, 0, 2)
+        g_edges = lam_t @ g_w
         g_mixed = g_edges * (mixed > 0)
-        g_u = g_mixed @ pooled.T if need_u else None
+        g_u = (g_mixed @ pooled.transpose(0, 2, 1)).sum(axis=0) if need_u else None
         if not (need_h or need_f):
             return None, None, g_u
         g_pooled = g_edges + relations.data.T @ g_mixed
-        g_lam = g @ edges.T + h.data @ g_pooled.T
-        g_h = lam @ g_pooled + g_lam @ factor.data.T if need_h else None
-        return g_h, h.data.T @ g_lam if need_f else None, g_u
+        g_lam = to_rows(g_w @ edges.transpose(0, 2, 1) + h_w @ g_pooled.transpose(0, 2, 1))
+        g_lam2 = g_lam.reshape(-1, n_edges)
+        g_h = (to_rows(lam_w @ g_pooled) + (g_lam2 @ factor.data.T).reshape(shape)
+               if need_h else None)
+        return g_h, h2.T @ g_lam2 if need_f else None, g_u
 
-    return record(lam @ edges, "hypergraph_layer", (h, factor, relations), vjp)
+    return record(to_rows(lam_w @ edges), "hypergraph_layer", (h, factor, relations), vjp)
 
 
 def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor, n_layers: int = 1,

@@ -5,6 +5,11 @@ state sequence, alternate hypergraph and interaction blocks (averaged) for
 a fixed number of iterations, mean-pool over time, softmax-fuse the
 per-scale node embeddings, and read out the horizon from the fused
 embedding concatenated with the last encoded step.
+
+The state of one window is a time-major (rows, d) matrix.  Several windows
+run through the same ops at once as a node-major (rows, B, d) state: the
+window axis sits between rows and features, so the graph products act on
+(rows, B*d) and every weight product on (rows*B, d).
 """
 
 from __future__ import annotations
@@ -112,7 +117,8 @@ def fuse_scales(per_scale: list[Tensor], logits: Tensor) -> Tensor:
 
 
 def forecast_head(fused: Tensor, h_last: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-node affine readout of [fused || last-step state] to the horizon."""
+    """Per-node affine readout of [fused || last-step state] to the horizon:
+    (N, d) states give (horizon, N), (N, B, d) give (B, horizon, N)."""
     return transpose(add(matmul(concat_cols(fused, h_last), w), b))
 
 
@@ -166,19 +172,19 @@ class Forecaster:
         self.params = init_params(cfg, np.random.default_rng(seed))
 
     def forward(self, x: np.ndarray, capture: dict | None = None) -> Tensor:
-        """Predict the normalized flow horizon for one input window.
+        """Predict the normalized flow horizon for one or several input windows.
 
-        x is (lookback, N, F).  Returns a (horizon, N) tensor.  When
-        `capture` is given, incidence matrices are stored per window size
-        under capture["incidence"][eps] in evaluation order.
+        x is one window (lookback, N, F), giving a (horizon, N) tensor, or B
+        windows (B, lookback, N, F), giving (B, horizon, N).  When `capture`
+        is given, incidence matrices are stored per window size under
+        capture["incidence"][eps] in evaluation order.
         """
         cfg = self.cfg
         x = np.asarray(x)
-        if x.shape != (cfg.lookback, cfg.n_nodes, cfg.n_features):
-            raise ValueError(
-                f"input window has shape {x.shape}, "
-                f"expected {(cfg.lookback, cfg.n_nodes, cfg.n_features)}"
-            )
+        window = (cfg.lookback, cfg.n_nodes, cfg.n_features)
+        if x.ndim not in (3, 4) or x.shape[-3:] != window:
+            raise ValueError(f"input window has shape {x.shape}, expected {window} "
+                             f"or (B, {', '.join(map(str, window))})")
         p = self.params
         h = build_node_features(x, p["encoder.input_proj"], p["encoder.spatial"], p["encoder.temporal"])
         h = graph_convolution(h, self.encoder_graph,
@@ -201,7 +207,8 @@ class Forecaster:
         return forecast_head(fused, h_last, p["readout_w"], p["readout_b"])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass without recording, for inference and evaluation."""
+        """Forward pass without recording, for inference and evaluation; x
+        is one window or a stack of them, as for `forward`."""
         return self.forward(x).data
 
     # -- parameter plumbing -------------------------------------------------

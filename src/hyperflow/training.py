@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericError, Tape, Tensor, absolute, mean_all, sub
+from .autodiff import NumericError, ShapeError, Tape, Tensor, record, tracked
 
 
 @dataclass
@@ -39,8 +39,37 @@ class MetricReport:
 
 
 def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over all entries, subgradient 0 at exact ties."""
-    return mean_all(absolute(sub(pred, target)))
+    """Mean absolute error per window, summed over windows, as one tape op.
+
+    A (B, horizon, N) prediction holds B windows, and anything of at most
+    two axes is one window, whose loss is the mean over all its entries.
+    The subgradient is 0 at exact ties.
+    """
+    if pred.shape != target.shape:
+        raise ShapeError(f"mae_loss: shapes {pred.shape} and {target.shape} differ")
+    need_p, need_t = tracked(pred), tracked(target)
+    diff = pred.data - target.data
+    n_entries = int(np.prod(diff.shape[-2:]))
+
+    def vjp(g):
+        g_diff = np.sign(diff) * (float(g) / n_entries)
+        return (g_diff if need_p else None, -g_diff if need_t else None)
+
+    per_window = np.abs(diff).reshape(-1, n_entries).mean(axis=1)
+    return record(np.asarray(per_window.sum()), "mae_loss", (pred, target), vjp)
+
+
+def windows_per_chunk(cfg) -> int:
+    """How many windows `fit` and `predict_batch` run through one forward.
+
+    About 2048 state rows per chunk: at lookback 12 that is 5 windows of 30
+    sensors, where per-op overhead dominates and `fit` trains about 1.5x as
+    many windows per second as one window per tape, and 1 window from 86
+    sensors up, where the products dominate: at 207 sensors 2 windows per
+    chunk trained within 5% of one and 4 windows 1.2x slower, and a taped
+    window holds tens of MB.
+    """
+    return max(1, 2048 // (cfg.lookback * cfg.n_nodes))
 
 
 def evaluate(y_pred: np.ndarray, y_true: np.ndarray, mask_threshold: float = 0.0) -> MetricReport:
@@ -133,17 +162,25 @@ class FitResult:
     steps: int = 0
 
 
+def _chunks(samples, size: int):
+    return [samples[i:i + size] for i in range(0, len(samples), size)]
+
+
 def predict_batch(model, samples) -> np.ndarray:
-    """Stacked (n, horizon, N) normalized predictions, no recording."""
-    return np.stack([model.predict(s.input) for s in samples])
+    """Stacked (n, horizon, N) normalized predictions, no recording,
+    `windows_per_chunk` windows per forward."""
+    size = windows_per_chunk(model.cfg)
+    return np.concatenate([model.predict(np.stack([s.input for s in chunk]))
+                           for chunk in _chunks(list(samples), size)])
 
 
 def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoch=None) -> FitResult:
     """Mini-batch Adam on the MAE loss.
 
     Batches are reshuffled each epoch from a generator seeded by cfg.seed
-    and run one sample at a time, each on its own tape, so a fixed seed
-    reproduces runs bit for bit.  Metric history is reported on
+    and run in chunks of `windows_per_chunk` windows, each chunk on its own
+    tape with the sum of its windows' losses, so a fixed seed reproduces
+    runs bit for bit.  Metric history is reported on
     de-normalized values (via `stats`); the train row uses the predictions
     accumulated during the epoch, the val row a dedicated pass.  Parameters
     with the best validation MAE are restored at the end.
@@ -155,10 +192,12 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
     result = FitResult()
     best_state = None
 
-    def run_sample(sample):
+    size = windows_per_chunk(model.cfg)
+
+    def run_chunk(chunk):
         with Tape() as tape:
-            pred = model.forward(sample.input)
-            loss = mae_loss(pred, Tensor(sample.target))
+            pred = model.forward(np.stack([s.input for s in chunk]))
+            loss = mae_loss(pred, Tensor(np.stack([s.target for s in chunk])))
         tape.backward(loss)
         return pred.data
 
@@ -169,7 +208,8 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
             batch = [train_samples[i] for i in order[b0:b0 + cfg.batch_size]]
             opt.zero_grad()
             try:
-                epoch_preds.extend(run_sample(s) for s in batch)
+                for chunk in _chunks(batch, size):
+                    epoch_preds.extend(run_chunk(chunk))
             except NumericError as err:
                 raise RuntimeError(
                     f"non-finite value at epoch {epoch}, batch {b0 // cfg.batch_size}: {err}"

@@ -11,6 +11,10 @@ import pytest
 import hyperflow
 from hyperflow.checkpoint import load_checkpoint, save_checkpoint
 from hyperflow.cli import main
+from hyperflow.data import NormStats, ingest, prepare_dataset
+from hyperflow.graphs import RoadNetwork
+from hyperflow.model import Forecaster, ModelConfig
+from hyperflow.training import predict_batch, windows_per_chunk
 
 
 TINY = ["--d", "8", "--hyperedges", "4", "--windows", "1,2", "--lp", "1", "--ls", "1",
@@ -101,6 +105,29 @@ def test_predict_row_count_and_units(synth_dir, trained_dir, tmp_path):
     assert len(rows) == n_test * 3 * 8
     y = np.array([float(r["y_true"]) for r in rows])
     assert y.mean() > 10  # de-normalized flow, not z-scores
+
+
+def test_predict_csv_is_predict_batch_bit_for_bit(synth_dir, trained_dir, tmp_path):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(["predict", "--data", str(synth_dir / "signals.bin"),
+                     "--edges", str(synth_dir / "edges.csv"),
+                     "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--split", "all", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    meta, tensors = load_checkpoint(trained_dir / "model.ckpt")
+    model = Forecaster(ModelConfig.from_json(meta["model"]),
+                       RoadNetwork(8, tuple(tuple(e) for e in meta["edges"])))
+    model.load_state(tensors)
+    stats = NormStats(mean=np.array(meta["stats"]["mean"]), std=np.array(meta["stats"]["std"]))
+    signal, _ = ingest(synth_dir / "signals.bin", synth_dir / "edges.csv")
+    samples = prepare_dataset(signal, 6, 3, stats=stats).all_samples
+    assert len(samples) > windows_per_chunk(model.cfg)  # more than one chunk
+    expected = stats.invert_flow(predict_batch(model, samples))
+    with open(outs[0]) as fh:
+        y_pred = np.array([float(r["y_pred"]) for r in csv.DictReader(fh)])
+    np.testing.assert_array_equal(y_pred, expected.ravel())
 
 
 def test_config_validation_fails_fast(tmp_path):

@@ -1,7 +1,10 @@
-"""Each fused block op against the same expression built from primitive ops.
+"""Each fused block op against the same expression built from primitive ops,
+and on a stack of windows against the op run on each window.
 
 A fused op must give the value and every input gradient of its primitive
-composition, and compute no gradient for an input that is a constant.
+composition, and compute no gradient for an input that is a constant.  On
+a (rows, B, d) state it must give each window's value and state gradient
+and the sum over windows of each weight gradient.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from hyperflow.hyperedges import hypergraph_layer
 from hyperflow.interaction import interaction_block
 from hyperflow.model import average
 
-N, T, D, I = 4, 3, 3, 2
+N, T, D, I, B = 4, 3, 3, 2, 3
 
 
 def primitive_encoder_layer(h, graph, w):
@@ -61,13 +64,15 @@ def relative_error(a, b):
 
 
 def run(fn, arrays, tracked, graph, upstream):
+    """(output, inputs, the output's parent count and vjp as recorded)."""
     inputs = [Tensor(a, requires_grad=t) for a, t in zip(arrays, tracked)]
     args = inputs[:1] + [graph] + inputs[1:] if graph is not None else inputs
     with Tape() as tape:
         out = fn(*args)
         loss = ad.sum_all(ad.hadamard(out, Tensor(upstream)))
+    recorded = len(out.parents), out._vjp  # backward releases both
     tape.backward(loss)
-    return out, inputs
+    return out, inputs, *recorded
 
 
 @pytest.mark.parametrize("name", list(OPS))
@@ -81,9 +86,9 @@ def test_fused_op_matches_primitive_composition(name):
             graph = random_graph(rng) if name in ("encoder_layer", "interaction_block") else None
             arrays = [rng.normal(size=s) for s in shapes]
             upstream = rng.normal(size=(N * T, D))
-            out, inputs = run(fused, arrays, tracked, graph, upstream)
-            ref, ref_inputs = run(primitive, arrays, tracked, graph, upstream)
-            assert out.op == name and len(out.parents) == len(shapes)
+            out, inputs, n_parents, vjp = run(fused, arrays, tracked, graph, upstream)
+            ref, ref_inputs, _, _ = run(primitive, arrays, tracked, graph, upstream)
+            assert out.op == name and n_parents == len(shapes)
             assert relative_error(out.data, ref.data) < 1e-12
             for x, x_ref, t in zip(inputs, ref_inputs, tracked):
                 if t:
@@ -91,5 +96,26 @@ def test_fused_op_matches_primitive_composition(name):
                 else:
                     assert x.grad is None
             # the vjp itself computes nothing for a constant input
-            grads = out._vjp(upstream)
+            grads = vjp(upstream)
             assert [g is not None for g in grads] == list(tracked), (name, tracked)
+
+
+@pytest.mark.parametrize("name", list(OPS))
+def test_fused_op_batch_matches_per_window(name):
+    fused, _, shapes = OPS[name]
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    is_state = [s[0] == N * T for s in shapes]
+    for _ in range(3):
+        graph = random_graph(rng) if name in ("encoder_layer", "interaction_block") else None
+        arrays = [rng.normal(size=(s[0], B, s[1]) if state else s) for s, state in zip(shapes, is_state)]
+        upstream = rng.normal(size=(N * T, B, D))
+        out, inputs, _, _ = run(fused, arrays, [True] * len(shapes), graph, upstream)
+        per_window = [run(fused, [a[:, b] if state else a for a, state in zip(arrays, is_state)],
+                          [True] * len(shapes), graph, upstream[:, b]) for b in range(B)]
+        expected = np.stack([o.data for o, _, _, _ in per_window], axis=1)
+        assert out.data.shape == (N * T, B, D)
+        assert relative_error(out.data, expected) < 1e-12, name
+        for k, (x, state) in enumerate(zip(inputs, is_state)):
+            grads = [ins[k].grad for _, ins, _, _ in per_window]
+            want = np.stack(grads, axis=1) if state else np.sum(grads, axis=0)
+            assert relative_error(x.grad, want) < 1e-12, (name, k)

@@ -146,11 +146,28 @@ def test_forward_is_deterministic_and_shaped():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("n, widths", [
+    (30, dict(width=16, n_hyperedges=8, windows=(1, 2, 3), encoder_layers=2, scale_iters=2)),
+    (20, dict()),
+], ids=["skill", "cli_default_n20"])
+def test_forward_batch_matches_per_window(n, widths):
+    rng = np.random.default_rng(15)
+    model = Forecaster(ModelConfig(n_nodes=n, **widths), small_net(rng, n, density=0.15), seed=4)
+    xs = rng.normal(size=(4, 12, n, 1))
+    batched = model.predict(xs)
+    single = np.stack([model.predict(x) for x in xs])
+    assert batched.shape == (4, 12, n)
+    assert np.max(np.abs(batched - single)) <= 1e-12 * np.max(np.abs(single))
+    np.testing.assert_array_equal(model.predict(xs[:1])[0], single[0])
+
+
 def test_forward_validates_input_shape():
     rng = np.random.default_rng(7)
     model = tiny_model(rng)
     with pytest.raises(ValueError, match="shape"):
         model.predict(np.zeros((5, 3, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        model.predict(np.zeros((2, 5, 3, 1)))
 
 
 def test_forward_matches_straight_line_reference():

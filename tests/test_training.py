@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperflow as hf
-from hyperflow.autodiff import Tensor
+from hyperflow.autodiff import Tape, Tensor
 from hyperflow.model import Forecaster, ModelConfig
 from hyperflow.training import (
     Adam,
@@ -12,7 +12,9 @@ from hyperflow.training import (
     fit,
     ha_baseline,
     mae_loss,
+    predict_batch,
     split_dataset,
+    windows_per_chunk,
     write_history_csv,
     MetricReport,
 )
@@ -34,6 +36,12 @@ def test_mae_translation_invariance():
     base = float(mae_loss(Tensor(a), Tensor(b)).data)
     shifted = float(mae_loss(Tensor(a + 3.7), Tensor(b + 3.7)).data)
     assert shifted == pytest.approx(base, abs=1e-12)
+
+
+def test_mae_of_a_chunk_sums_per_window_means():
+    pred = np.array([[[1.0, 2.0]], [[0.0, 0.0]], [[4.0, -4.0]]])  # 3 windows of (1, 2)
+    loss = mae_loss(Tensor(pred), Tensor(np.zeros_like(pred)))
+    assert float(loss.data) == 1.5 + 0.0 + 4.0
 
 
 def test_evaluate_perfect_prediction():
@@ -159,6 +167,50 @@ def overfit_setup(seed=0):
                       n_hyperedges=4, windows=(1, 2), encoder_layers=2, scale_iters=1)
     model = Forecaster(cfg, net, seed=seed)
     return model, samples, stats
+
+
+def test_windows_per_chunk_rule():
+    assert windows_per_chunk(ModelConfig(n_nodes=30, lookback=12)) == 5
+    assert windows_per_chunk(ModelConfig(n_nodes=207, lookback=12)) == 1
+
+
+def chunk_setup(seed):
+    """30 sensors at lookback 12, so windows_per_chunk is 5."""
+    sig, net, _ = hf.synth_generate(30, 3, 40, seed=seed)
+    samples = hf.make_windows(hf.SignalTensor(sig.values / sig.values.std()), 12, 4)
+    cfg = ModelConfig(n_nodes=30, n_features=1, lookback=12, horizon=4, width=8,
+                      n_hyperedges=4, windows=(1, 2, 3), encoder_layers=2, scale_iters=2)
+    return Forecaster(cfg, net, seed=seed), samples
+
+
+def test_chunk_gradients_match_per_window_sum():
+    model, samples = chunk_setup(seed=6)
+    xs = np.stack([s.input for s in samples[:5]])
+    ys = np.stack([s.target for s in samples[:5]])
+
+    def gradients(pairs):
+        losses = []
+        for _, p in model.named_parameters():
+            p.grad = None
+        for x, y in pairs:
+            with Tape() as tape:
+                loss = mae_loss(model.forward(x), Tensor(y))
+            tape.backward(loss)
+            losses.append(float(loss.data))
+        return sum(losses), {name: p.grad.copy() for name, p in model.named_parameters()}
+
+    chunk_loss, chunk = gradients([(xs, ys)])
+    window_loss, per_window = gradients(zip(xs, ys))
+    assert abs(chunk_loss - window_loss) <= 1e-12 * window_loss
+    for name, g in per_window.items():
+        assert np.max(np.abs(chunk[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_predict_batch_matches_per_window_predict():
+    model, samples = chunk_setup(seed=7)
+    samples = samples[:12]  # chunks of 5, 5 and 2
+    expected = np.stack([model.predict(s.input) for s in samples])
+    np.testing.assert_allclose(predict_batch(model, samples), expected, rtol=0, atol=1e-12)
 
 
 def test_fit_zero_epochs_returns_initial_parameters():
