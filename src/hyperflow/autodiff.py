@@ -361,6 +361,9 @@ def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tenso
     (R, B, d) with a window axis; the output has t_steps // window blocks.
     Gradient flows to the earliest maximizer in each window (argmax tie
     rule), which keeps backward deterministic.  Window 1 is the identity.
+    Backward keeps the output and walks the window's steps in order: each
+    step's rows are compared with it, and a mask of the entries not yet
+    taken hands each gradient to the first step that reaches the max.
     """
     if t_steps % window != 0:
         raise ShapeError(f"window_max_rows: window {window} does not divide {t_steps} steps")
@@ -371,14 +374,23 @@ def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tenso
     k = t_steps // window
     rest = a.shape[1:]
     blocks = a.data.reshape(k, window, n_nodes, *rest)
+    best = blocks.max(axis=1)
 
     def vjp(g):
-        idx = blocks.argmax(axis=1)
-        z = np.zeros_like(blocks)
-        np.put_along_axis(z, idx[:, None], g.reshape(k, 1, n_nodes, *rest), axis=1)
+        g4 = g.reshape(best.shape)
+        z = np.empty_like(blocks)
+        free = np.ones(best.shape, dtype=bool)
+        for j in range(window):
+            hit = blocks[:, j] == best
+            hit &= free
+            free ^= hit  # hit lies inside free, so this clears it
+            # A product, not np.copyto(where=hit): a masked copy branches on
+            # every run of the mask and is several times slower on relu output.
+            np.multiply(g4, hit, out=z[:, j])
+        z += 0.0  # the masked product leaves -0.0 where g < 0; -0.0 + 0.0 is +0.0
         return (z.reshape(a.shape),)
 
-    return record(blocks.max(axis=1).reshape(k * n_nodes, *rest), "window_max_rows", (a,), vjp)
+    return record(best.reshape(k * n_nodes, *rest), "window_max_rows", (a,), vjp)
 
 
 def mean_over_time(a: Tensor, t_steps: int, n_nodes: int) -> Tensor:

@@ -132,7 +132,9 @@ def average(a: Tensor, b: Tensor) -> Tensor:
         half = g * 0.5
         return (half if need_a else None, half if need_b else None)
 
-    return record((a.data + b.data) * 0.5, "average", (a, b), vjp)
+    out = a.data + b.data
+    out *= 0.5
+    return record(out, "average", (a, b), vjp)
 
 
 def mixed_layer(delta: Tensor, graph: TemporalGraph, params: dict[str, Tensor], eps: int,

@@ -135,6 +135,12 @@ def check_op_gradients(seed: int) -> list[OracleResult]:
         "linear_combination": (lambda p: weighted(ad.linear_combination([d63, ad.add(e63, p), c63], p)),
                                rng.normal(size=(3,))),
     })
+
+    # Pooling on a node-major stack of 2 windows, drawn last so that the
+    # cases above keep their draws.
+    c422 = Tensor(rng.normal(size=(4, 2, 2)))
+    cases["window_max_batched"] = (
+        lambda p: ad.sum_all(ad.hadamard(ad.window_max_rows(p, 3, 6, 2), c422)), kink_free((12, 2, 2)))
     for name, (f, theta) in cases.items():
         err = finite_difference_check(f, Tensor(theta))
         results.append(OracleResult("op_gradients", name, tol, err))

@@ -244,25 +244,27 @@ def test_backward_shared_gradients_are_never_written_in_place():
         np.testing.assert_array_equal(node.grad, grad)
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 6])
+@pytest.mark.parametrize("window", [1, 2, 3, 6, 12])
 def test_window_max_gradient_goes_to_earliest_maximizer(window):
     rng = np.random.default_rng(window)
-    t, n, d = 6, 3, 4
-    a = rng.integers(0, 3, size=(t * n, d)).astype(float)  # many tied maxima
-    g = rng.normal(size=(t // window * n, d))
-    x = Tensor(a, requires_grad=True)
-    with Tape() as tape:
-        loss = ad.sum_all(ad.hadamard(ad.window_max_rows(x, window, t, n), Tensor(g)))
-    tape.backward(loss)
-    expected = np.zeros_like(a)
-    for b in range(t // window):
-        for i in range(n):
-            for c in range(d):
-                rows = [(b * window + j) * n + i for j in range(window)]
-                earliest = max(rows, key=lambda r: a[r, c])  # max() keeps the first of equals
-                expected[earliest, c] = g[b * n + i, c]
-    np.testing.assert_array_equal(x.grad, expected)
-    assert not np.any(np.signbit(x.grad) & (x.grad == 0))  # no -0.0 from a masked product
+    t, n = 12, 3
+    for rest in [(4,), (2, 4)]:  # one window (R, d) and a node-major stack (R, B, d)
+        # relu-style input: many maxima tied at 0, others tied at 1 or 2
+        a = np.maximum(rng.integers(-2, 3, size=(t * n, *rest)), 0).astype(float)
+        g = rng.normal(size=(t // window * n, *rest))
+        x = Tensor(a, requires_grad=True)
+        with Tape() as tape:
+            loss = ad.sum_all(ad.hadamard(ad.window_max_rows(x, window, t, n), Tensor(g)))
+        tape.backward(loss)
+        expected = np.zeros_like(a)
+        for b in range(t // window):
+            for i in range(n):
+                for c in np.ndindex(*rest):
+                    rows = [(b * window + j) * n + i for j in range(window)]
+                    earliest = max(rows, key=lambda r: a[(r, *c)])  # max() keeps the first of equals
+                    expected[(earliest, *c)] = g[(b * n + i, *c)]
+        np.testing.assert_array_equal(x.grad, expected)
+        assert not np.any(np.signbit(x.grad) & (x.grad == 0))  # no -0.0 from a masked product
 
 
 def test_nan_input_rejected_at_construction():

@@ -4,7 +4,8 @@ and on a stack of windows against the op run on each window.
 A fused op must give the value and every input gradient of its primitive
 composition, and compute no gradient for an input that is a constant.  On
 a (rows, B, d) state it must give each window's value and state gradient
-and the sum over windows of each weight gradient.
+and the sum over windows of each weight gradient.  Its value and every
+gradient are C-contiguous float64 arrays, never a view into a wider one.
 """
 
 import itertools
@@ -57,6 +58,7 @@ OPS = {
     "interaction_block": (interaction_block, primitive_interaction_block, [(N * T, D)] + [(D, D)] * 3),
     "average": (average, primitive_average, [(N * T, D)] * 2),
 }
+GRAPH_OPS = ("encoder_layer", "interaction_block")
 
 
 def relative_error(a, b):
@@ -83,7 +85,7 @@ def test_fused_op_matches_primitive_composition(name):
         if not any(tracked):
             continue
         for _ in range(3):
-            graph = random_graph(rng) if name in ("encoder_layer", "interaction_block") else None
+            graph = random_graph(rng) if name in GRAPH_OPS else None
             arrays = [rng.normal(size=s) for s in shapes]
             upstream = rng.normal(size=(N * T, D))
             out, inputs, n_parents, vjp = run(fused, arrays, tracked, graph, upstream)
@@ -106,7 +108,7 @@ def test_fused_op_batch_matches_per_window(name):
     rng = np.random.default_rng(sum(map(ord, name)) + 1)
     is_state = [s[0] == N * T for s in shapes]
     for _ in range(3):
-        graph = random_graph(rng) if name in ("encoder_layer", "interaction_block") else None
+        graph = random_graph(rng) if name in GRAPH_OPS else None
         arrays = [rng.normal(size=(s[0], B, s[1]) if state else s) for s, state in zip(shapes, is_state)]
         upstream = rng.normal(size=(N * T, B, D))
         out, inputs, _, _ = run(fused, arrays, [True] * len(shapes), graph, upstream)
@@ -119,3 +121,21 @@ def test_fused_op_batch_matches_per_window(name):
             grads = [ins[k].grad for _, ins, _, _ in per_window]
             want = np.stack(grads, axis=1) if state else np.sum(grads, axis=0)
             assert relative_error(x.grad, want) < 1e-12, (name, k)
+
+
+def test_fused_op_outputs_are_contiguous():
+    rng = np.random.default_rng(8)
+    graph = random_graph(rng)
+    ops = {name: (fused, shapes) for name, (fused, _, shapes) in OPS.items()}
+    ops["window_max_rows"] = (lambda h: ad.window_max_rows(h, T, T, N), [(N * T, D)])
+    for name, (fn, shapes) in ops.items():
+        for batch in [(), (B,)]:
+            inputs = [Tensor(rng.normal(size=(s[0], *batch, s[1]) if s[0] == N * T else s), requires_grad=True)
+                      for s in shapes]
+            args = inputs[:1] + [graph] + inputs[1:] if name in GRAPH_OPS else inputs
+            with Tape():
+                out = fn(*args)
+            grads = out._vjp(rng.normal(size=out.shape))
+            assert len(grads) == len(inputs) and all(g is not None for g in grads), name
+            for k, arr in enumerate([out.data, *grads]):
+                assert arr.dtype == np.float64 and arr.flags.c_contiguous, (name, batch, k)
