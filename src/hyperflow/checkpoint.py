@@ -4,18 +4,43 @@ Layout (all integers little-endian): magic, u32 version, u64 config length,
 config JSON, u32 tensor count, then per tensor a u64-length-prefixed name,
 u32 ndim, u64 dims, and the raw float64 bytes.  Raw bytes round-trip bit
 for bit, which the reproducibility checks rely on.
+
+`atomic_open` writes the artifacts of `train` and `predict`: a crash or an
+error halfway through leaves the previous file at the target path untouched.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"HFCP"
 VERSION = 1
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file next to `path` and move it onto `path` on a clean exit.
+
+    The temporary file sits in the target's directory, so `os.replace` is a
+    rename within one file system.  It is opened with plain `open`, so its
+    mode follows the umask like any other file the program writes.  If the
+    body raises, the temporary file is removed and `path` keeps its old
+    contents (or stays absent).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # absent after a successful replace
 
 
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -32,7 +57,8 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_open(path, "wb") as fh:
+        fh.writelines(parts)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

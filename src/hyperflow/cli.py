@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericError
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .data import NormStats, ingest, prepare_dataset, save_synth, synth_generate
 from .graphs import RoadNetwork
 from .hyperedges import write_incidence_csv
@@ -111,6 +111,9 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                             seed=args.seed, clip_norm=args.clip_norm)
     signal, net = ingest(args.data, args.edges)
+    # An unusable --out fails here, not after the whole fit.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     cfg = _model_config_from_args(args, n_nodes=signal.n_nodes, n_features=signal.n_features)
     prepared = prepare_dataset(signal, cfg.lookback, cfg.horizon)
     model = Forecaster(cfg, net, seed=args.seed)
@@ -126,8 +129,6 @@ def cmd_train(args) -> int:
     test_true = prepared.stats.invert_flow(np.stack([s.target for s in prepared.test]))
     test_report = evaluate(test_pred, test_true)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {
         "model": cfg.to_json(),
         "stats": {"mean": prepared.stats.mean.tolist(), "std": prepared.stats.std.tolist()},
@@ -138,7 +139,8 @@ def cmd_train(args) -> int:
     write_history_csv(result.history, out / "history.csv")
     summary = {"test_mae": test_report.mae, "test_rmse": test_report.rmse,
                "test_mape": test_report.mape}
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with atomic_open(out / "summary.json") as fh:
+        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"test: mae={test_report.mae:.4f} rmse={test_report.rmse:.4f} "
           f"mape={'-' if test_report.mape is None else f'{test_report.mape:.2f}%'}")
     print(f"wrote {out / 'model.ckpt'}, {out / 'history.csv'}, {out / 'summary.json'}")
@@ -178,14 +180,28 @@ def cmd_predict(args) -> int:
         raise ValueError(f"split {args.split!r} is empty")
     lookback = model.cfg.lookback
     preds = stats.invert_flow(predict_batch(model, samples))
-    with open(args.out, "w", newline="") as fh:
+    # Windows are ordered by start with stride 1, so a target step recurs in
+    # up to `horizon` consecutive windows: format its "t,node,y_true," row
+    # prefixes once, keyed by absolute step, and drop the steps behind the
+    # current window.  Each window's rows go out in one write.
+    prefixes: dict[int, list[str]] = {}
+    with atomic_open(args.out, "w", newline="") as fh:
         fh.write("t,node,y_true,y_pred\n")
         for sample, pred in zip(samples, preds):
-            true = stats.invert_flow(sample.target)
-            for k in range(pred.shape[0]):
-                t_abs = sample.start + lookback + k
-                for i in range(pred.shape[1]):
-                    fh.write(f"{t_abs},{i},{float(true[k, i])!r},{float(pred[k, i])!r}\n")
+            first = sample.start + lookback
+            for t_abs in [t for t in prefixes if t < first]:
+                del prefixes[t_abs]
+            true = None
+            lines: list[str] = []
+            for k, row in enumerate(pred.tolist()):
+                t_abs = first + k
+                step = prefixes.get(t_abs)
+                if step is None:
+                    if true is None:
+                        true = stats.invert_flow(sample.target).tolist()
+                    step = prefixes[t_abs] = [f"{t_abs},{i},{y!r}," for i, y in enumerate(true[k])]
+                lines.extend([f"{prefix}{y!r}\n" for prefix, y in zip(step, row)])
+            fh.write("".join(lines))
     print(f"wrote {args.out} ({len(samples)} windows)")
     return 0
 

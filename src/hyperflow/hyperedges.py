@@ -9,8 +9,6 @@ influence of a hyperedge on a node.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .autodiff import Tensor, record, tracked
@@ -84,11 +82,11 @@ def write_incidence_csv(incidence: np.ndarray, t_steps: int, n_nodes: int, path)
     """Dump a (t_steps*n_nodes, I) incidence matrix as t,node,hyperedge,value."""
     if incidence.shape[0] != t_steps * n_nodes:
         raise ValueError(f"incidence has {incidence.shape[0]} rows, expected {t_steps * n_nodes}")
+    rows = incidence.tolist()
+    # Rows end in "\r\n", the terminator of csv's default dialect.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "hyperedge", "value"])
+        fh.write("t,node,hyperedge,value\r\n")
         for t in range(t_steps):
-            for i in range(n_nodes):
-                row = incidence[t * n_nodes + i]
-                for e, value in enumerate(row):
-                    writer.writerow([t, i, e, repr(float(value))])
+            fh.write("".join([f"{t},{i},{e},{value!r}\r\n"
+                              for i, row in enumerate(rows[t * n_nodes:(t + 1) * n_nodes])
+                              for e, value in enumerate(row)]))

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError, ShapeError, Tape, Tensor, record, tracked
+from .checkpoint import atomic_open
 
 
 @dataclass
@@ -240,7 +241,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
 
 
 def write_history_csv(history: list[tuple[int, str, MetricReport]], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "split", "mae", "rmse", "mape"])
         for epoch, split, report in history:

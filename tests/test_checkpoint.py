@@ -56,3 +56,15 @@ def test_model_forward_identical_after_reload(tmp_path):
     rebuilt.load_state(tensors)
 
     np.testing.assert_array_equal(rebuilt.predict(x), before)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, disk_fills_after):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"run": 1}, {"w": np.ones((8, 8))})
+    before = path.read_bytes()
+
+    disk_fills_after(len(before) // 2)
+    with pytest.raises(OSError):
+        save_checkpoint(path, {"run": 2}, {"w": np.zeros((8, 8))})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import hyperflow
+import hyperflow.cli
 from hyperflow.checkpoint import load_checkpoint, save_checkpoint
 from hyperflow.cli import main
 from hyperflow.data import NormStats, ingest, prepare_dataset
@@ -68,6 +70,19 @@ def test_train_rerun_is_byte_identical(synth_dir, tmp_path):
     assert (tmp_path / "a/model.ckpt").read_bytes() == (tmp_path / "b/model.ckpt").read_bytes()
 
 
+def test_train_unusable_out_fails_before_fit(synth_dir, tmp_path, monkeypatch, capsys):
+    fit_calls = []
+    monkeypatch.setattr(hyperflow.cli, "fit", lambda *a, **kw: fit_calls.append(a))
+    blocker = tmp_path / "taken"
+    blocker.write_text("a regular file, not a directory\n")
+    rc = main(["train", "--data", str(synth_dir / "signals.bin"),
+               "--edges", str(synth_dir / "edges.csv"), "--out", str(blocker),
+               "--seed", "3", "--epochs", "1", *TINY])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert fit_calls == []
+
+
 def test_train_epochs_zero_writes_initial_summary(synth_dir, tmp_path):
     rc = main(["train", "--data", str(synth_dir / "signals.bin"),
                "--edges", str(synth_dir / "edges.csv"), "--out", str(tmp_path),
@@ -107,14 +122,25 @@ def test_predict_row_count_and_units(synth_dir, trained_dir, tmp_path):
     assert y.mean() > 10  # de-normalized flow, not z-scores
 
 
+def _reference_predict_csv(samples, preds, stats, lookback: int) -> str:
+    """The predict CSV written one f-string per value: the reference for its bytes."""
+    buf = io.StringIO(newline="")
+    buf.write("t,node,y_true,y_pred\n")
+    for sample, pred in zip(samples, preds):
+        true = stats.invert_flow(sample.target)
+        for k in range(pred.shape[0]):
+            t_abs = sample.start + lookback + k
+            for i in range(pred.shape[1]):
+                buf.write(f"{t_abs},{i},{float(true[k, i])!r},{float(pred[k, i])!r}\n")
+    return buf.getvalue()
+
+
 def test_predict_csv_is_predict_batch_bit_for_bit(synth_dir, trained_dir, tmp_path):
-    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for out in outs:
-        assert main(["predict", "--data", str(synth_dir / "signals.bin"),
+    def predict(split, out):
+        return main(["predict", "--data", str(synth_dir / "signals.bin"),
                      "--edges", str(synth_dir / "edges.csv"),
                      "--checkpoint", str(trained_dir / "model.ckpt"),
-                     "--split", "all", "--out", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+                     "--split", split, "--out", str(out)])
 
     meta, tensors = load_checkpoint(trained_dir / "model.ckpt")
     model = Forecaster(ModelConfig.from_json(meta["model"]),
@@ -122,12 +148,56 @@ def test_predict_csv_is_predict_batch_bit_for_bit(synth_dir, trained_dir, tmp_pa
     model.load_state(tensors)
     stats = NormStats(mean=np.array(meta["stats"]["mean"]), std=np.array(meta["stats"]["std"]))
     signal, _ = ingest(synth_dir / "signals.bin", synth_dir / "edges.csv")
-    samples = prepare_dataset(signal, 6, 3, stats=stats).all_samples
-    assert len(samples) > windows_per_chunk(model.cfg)  # more than one chunk
-    expected = stats.invert_flow(predict_batch(model, samples))
-    with open(outs[0]) as fh:
-        y_pred = np.array([float(r["y_pred"]) for r in csv.DictReader(fh)])
-    np.testing.assert_array_equal(y_pred, expected.ravel())
+    prepared = prepare_dataset(signal, 6, 3, stats=stats)
+    assert len(prepared.all_samples) > windows_per_chunk(model.cfg)  # more than one chunk
+
+    for split, samples in (("all", prepared.all_samples), ("val", prepared.val)):
+        out = tmp_path / f"{split}.csv"
+        assert predict(split, out) == 0
+        preds = stats.invert_flow(predict_batch(model, samples))
+        with open(out, newline="") as fh:
+            text = fh.read()
+        reference = _reference_predict_csv(samples, preds, stats, lookback=6)
+        if text != reference:  # pytest's own diff of two long texts takes minutes
+            got, want = text.splitlines() + [""], reference.splitlines() + [""]
+            n = next(n for n, (a, b) in enumerate(zip(got, want)) if a != b)
+            pytest.fail(f"--split {split}, line {n + 1}: {got[n]!r}, reference {want[n]!r}")
+
+        rows = list(csv.DictReader(io.StringIO(text)))
+        steps = np.array([s.start for s in samples])[:, None] + 6 + np.arange(3)
+        np.testing.assert_array_equal([int(r["t"]) for r in rows],
+                                      np.broadcast_to(steps[:, :, None], preds.shape).ravel())
+        np.testing.assert_array_equal([int(r["node"]) for r in rows],
+                                      np.broadcast_to(np.arange(8), preds.shape).ravel())
+        y_true = stats.invert_flow(np.stack([s.target for s in samples]))
+        np.testing.assert_array_equal([float(r["y_true"]) for r in rows], y_true.ravel())
+        np.testing.assert_array_equal([float(r["y_pred"]) for r in rows], preds.ravel())
+
+    rerun = tmp_path / "rerun.csv"
+    assert predict("all", rerun) == 0
+    assert rerun.read_bytes() == (tmp_path / "all.csv").read_bytes()
+
+
+def test_failed_predict_keeps_previous_csv(synth_dir, trained_dir, tmp_path, disk_fills_after,
+                                           capsys):
+    argv = ["predict", "--data", str(synth_dir / "signals.bin"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--checkpoint", str(trained_dir / "model.ckpt"), "--split", "test"]
+    full = tmp_path / "full.csv"
+    assert main([*argv, "--out", str(full)]) == 0
+    lines = full.read_text().splitlines(keepends=True)
+
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "pred.csv"
+    out.write_text("t,node,y_true,y_pred\n0,0,1.0,2.0\n")
+    before = out.read_bytes()
+    # room for the header and the first window's rows (horizon 3 x 8 nodes)
+    disk_fills_after(sum(len(line) for line in lines[:1 + 3 * 8]))
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in out_dir.iterdir()] == ["pred.csv"]
 
 
 def test_config_validation_fails_fast(tmp_path):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 
 from hyperflow.autodiff import Tensor, absolute, finite_difference_check, mean_all, sub
@@ -165,3 +168,20 @@ def test_incidence_csv_shape_and_values(tmp_path):
     assert lines[1] == "0,0,0,0.0"
     assert lines[-1] == "2,1,1,11.0"
 
+
+
+def test_incidence_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    lam = rng.normal(size=(3 * 5, 4)) * np.logspace(-12, 12, 4)  # T=3, N=5, I=4
+    lam[0, 0] = -0.0
+    path = tmp_path / "incidence.csv"
+    write_incidence_csv(lam, t_steps=3, n_nodes=5, path=path)
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "node", "hyperedge", "value"])
+    for t in range(3):
+        for i in range(5):
+            for e, value in enumerate(lam[t * 5 + i]):
+                writer.writerow([t, i, e, repr(float(value))])
+    assert path.read_bytes() == expected.getvalue().encode()
