@@ -1,9 +1,10 @@
 """Dense tensors with a reverse-mode gradient tape.
 
-The forecasting model needs a small, fixed set of array operations, so the
-tape records exactly those and nothing else.  Every value is float64: the
-finite-difference gradient checks need the headroom, and at desk scale the
-storage savings of float32 are irrelevant.
+The forecasting model needs a small, fixed set of array operations, so this
+module defines exactly the ones a taped forward and loss record (a test
+holds it to that).  Every value is float64: the finite-difference gradient
+checks need the headroom, and at desk scale the storage savings of float32
+are irrelevant.
 
 Ops take Tensors; wrap a raw array in Tensor() first.  A tape is
 single-writer: one forward pass records onto it and one backward() consumes
@@ -20,8 +21,8 @@ Only ops run while a tape is active record a graph.  Outside a tape an op
 returns a constant (no parents, no vjp), so a forward-only pass frees each
 intermediate as soon as it has been used.
 
-Gradients of recorded nodes may share memory with each other (add hands
-the same array to both operands), so they are never written in place:
+Gradients of recorded nodes may share memory with each other (average
+hands the same array to both operands), so they are never written in place:
 backward stores the first contribution as it is and sums later ones into
 a new array.  A requires_grad leaf owns its .grad and accumulates into it
 in place.
@@ -232,73 +233,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record((a2 @ b.data).reshape(*a.shape[:-1], b.shape[1]), "matmul", (a, b), vjp)
 
 
-def sparse_matmul(sp_mat, x: Tensor, sp_mat_t) -> Tensor:
-    """Product of a constant scipy sparse matrix with a dense tensor.
-
-    The sparse operand carries no gradient; backward multiplies by its
-    precomputed transpose `sp_mat_t`.
-    """
-    if x.data.ndim != 2 or sp_mat.shape[1] != x.shape[0]:
-        raise ShapeError(f"sparse_matmul: cannot multiply {sp_mat.shape} by {x.shape}")
-
-    def vjp(g):
-        return (sp_mat_t @ g,)
-
-    return record(np.asarray(sp_mat @ x.data), "sparse_matmul", (x,), vjp)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    need_a, need_b = tracked(a), tracked(b)
-
-    def vjp(g):
-        return (g * b.data if need_a else None,
-                g * a.data if need_b else None)
-
-    return record(a.data * b.data, "hadamard", (a, b), vjp)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias along the last axis of a
-    2-D or 3-D tensor."""
-    if a.shape == b.shape:
-        return record(a.data + b.data, "add", (a, b), lambda g: (g, g))
-    if a.data.ndim in (2, 3) and b.data.ndim == 1 and a.shape[-1] == b.shape[0]:
-        return record(a.data + b.data, "add_bias", (a, b),
-                      lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)))
-    raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    return record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    return record(a.data * c, "scale", (a,), lambda g: (g * c,))
-
-
-def relu(a: Tensor) -> Tensor:
-    # Subgradient at 0 is 0: the mask is strict.
-    return record(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0),))
-
-
-def absolute(a: Tensor) -> Tensor:
-    # sign(0) = 0 gives the subgradient-0 tie rule used by the MAE loss.
-    return record(np.abs(a.data), "absolute", (a,), lambda g: (g * np.sign(a.data),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (np.full(a.shape, float(g) / a.size),)
-
-    return record(np.asarray(a.data.mean()), "mean_all", (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return record(np.asarray(a.data.sum()), "sum_all", (a,), lambda g: (np.full(a.shape, float(g)),))
+    """a plus a 1-D bias b along the last axis of a 2-D or 3-D tensor."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != 1 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"add: cannot add a bias of shape {b.shape} to {a.shape}")
+    return record(a.data + b.data, "add_bias", (a, b),
+                  lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -332,26 +272,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         return (z,)
 
     return record(a.data[start:stop].copy(), "slice_rows", (a,), vjp)
-
-
-def tile_rows(a: Tensor, reps: int) -> Tensor:
-    """Vertically stack `reps` copies of a matrix: [a; a; ...; a]."""
-    n, d = a.shape
-
-    def vjp(g):
-        return (g.reshape(reps, n, d).sum(axis=0),)
-
-    return record(np.tile(a.data, (reps, 1)), "tile_rows", (a,), vjp)
-
-
-def repeat_rows(a: Tensor, reps: int) -> Tensor:
-    """Repeat each row `reps` times consecutively."""
-    n, d = a.shape
-
-    def vjp(g):
-        return (g.reshape(n, reps, d).sum(axis=1),)
-
-    return record(np.repeat(a.data, reps, axis=0), "repeat_rows", (a,), vjp)
 
 
 def window_max_rows(a: Tensor, window: int, t_steps: int, n_nodes: int) -> Tensor:

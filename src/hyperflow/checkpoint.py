@@ -5,8 +5,8 @@ config JSON, u32 tensor count, then per tensor a u64-length-prefixed name,
 u32 ndim, u64 dims, and the raw float64 bytes.  Raw bytes round-trip bit
 for bit, which the reproducibility checks rely on.
 
-`atomic_open` writes the artifacts of `train` and `predict`: a crash or an
-error halfway through leaves the previous file at the target path untouched.
+`atomic_open` writes every file the package writes: a crash or an error
+halfway through leaves the previous file at the target path untouched.
 """
 
 from __future__ import annotations

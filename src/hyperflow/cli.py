@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, predict, synth, verify, bench, export-incidence.
 
-Every command validates its configuration before touching data, routes all
-randomness through --seed, and is bit-reproducible: two identical `train`
+Every command validates its configuration before touching data and is
+bit-reproducible: the commands that draw random numbers (train, synth,
+verify and bench) take them all from --seed, and two identical `train`
 invocations write byte-identical summary files.
 """
 
@@ -300,7 +301,7 @@ def cmd_bench(args) -> int:
     measured = _run_bench_child(spec)
     rows = measured["rows"]
 
-    with open(args.out, "w", newline="") as fh:
+    with atomic_open(args.out, "w", newline="") as fh:
         fh.write("n,t,nnz,seconds\n")
         for n, t, nnz, sec in rows:
             fh.write(f"{n},{t},{nnz},{sec!r}\n")
@@ -362,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--edges", required=True)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-        p.add_argument("--seed", type=int, default=0)
         if name == "predict":
             p.add_argument("--out", required=True, help="prediction CSV path")
         p.set_defaults(func=func)
@@ -407,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="incidence CSV path")
     p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     p.add_argument("--window-index", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_export_incidence)
 
     return parser

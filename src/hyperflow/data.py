@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .graphs import RoadNetwork, read_edge_csv, write_edge_csv
 from .training import split_dataset
 
@@ -134,14 +135,16 @@ def prepare_dataset(signal: SignalTensor, lookback: int, horizon: int,
 
 def save_signals(signal: SignalTensor, bin_path, json_path) -> None:
     values = signal.values.astype("<f4")
-    Path(bin_path).write_bytes(values.tobytes())
+    with atomic_open(bin_path, "wb") as fh:
+        fh.write(values.tobytes())
     meta = {
         "T": signal.n_steps,
         "N": signal.n_nodes,
         "F": signal.n_features,
         "interval_minutes": signal.interval_minutes,
     }
-    Path(json_path).write_text(json.dumps(meta, sort_keys=True) + "\n")
+    with atomic_open(json_path) as fh:
+        fh.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
 def ingest(signals_path, edges_path) -> tuple[SignalTensor, RoadNetwork]:
@@ -174,7 +177,7 @@ def ingest(signals_path, edges_path) -> tuple[SignalTensor, RoadNetwork]:
 
 
 def save_membership(membership: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write("node,community\n")
         for i, c in enumerate(membership):
             fh.write(f"{i},{int(c)}\n")

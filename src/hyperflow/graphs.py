@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .checkpoint import atomic_open
+
 
 @dataclass(frozen=True)
 class RoadNetwork:
@@ -123,7 +125,7 @@ def read_edge_csv(path, n_nodes: int | None = None) -> list[tuple[int, int, floa
 
 
 def write_edge_csv(net: RoadNetwork, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["from", "to", "weight"])
         for u, v, w in net.edges:

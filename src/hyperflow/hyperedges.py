@@ -13,6 +13,7 @@ import numpy as np
 
 from .autodiff import Tensor, record, tracked
 from .autodiff import matmul  # noqa: F401  perfbench/layertrace.py wraps matmul under this name
+from .checkpoint import atomic_open
 
 
 def hypergraph_layer(h: Tensor, factor: Tensor, relations: Tensor,
@@ -84,7 +85,7 @@ def write_incidence_csv(incidence: np.ndarray, t_steps: int, n_nodes: int, path)
         raise ValueError(f"incidence has {incidence.shape[0]} rows, expected {t_steps * n_nodes}")
     rows = incidence.tolist()
     # Rows end in "\r\n", the terminator of csv's default dialect.
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write("t,node,hyperedge,value\r\n")
         for t in range(t_steps):
             fh.write("".join([f"{t},{i},{e},{value!r}\r\n"

@@ -73,77 +73,61 @@ def _live_path_model(rng: np.random.Generator, n: int = 4, lookback: int = 6,
 # Families
 
 
-def check_op_gradients(seed: int) -> list[OracleResult]:
-    rng = np.random.default_rng(seed)
-    tol = 1e-4
-    results = []
+def _weighted_sum(out: Tensor, c: np.ndarray) -> Tensor:
+    """sum(out * c) for a constant array c, as one tape op."""
+    return ad.record(np.asarray(np.sum(out.data * c)), "weighted_sum", (out,), lambda g: (float(g) * c,))
 
-    def kink_free(shape):
+
+def check_op_gradients(seed: int) -> list[OracleResult]:
+    """Central differences against the tape for every op the model records.
+
+    Each op's output is reduced to sum(out * c) with c drawn at random, so
+    every entry of its gradient carries its own weight and a vjp that moves
+    a gradient to the wrong entry shows.  `mae_loss` and the input features
+    are checked through the whole-model oracle.
+    """
+    rng = np.random.default_rng(seed)
+
+    def kink_free(*shape):
         v = rng.normal(size=shape)
         while np.any(np.abs(v) < 1e-3):
             v = rng.normal(size=shape)
         return v
 
-    # Constants are materialized up front: f must be a deterministic
-    # function of the checked tensor alone.
-    b = Tensor(rng.normal(size=(4, 3)))
-    c5 = Tensor(rng.normal(size=(5,)))
-    c24 = Tensor(rng.normal(size=(2, 4)))
-    c63 = Tensor(rng.normal(size=(6, 3)))
-    sp_graph = temporal_graph(_random_net(rng, 3), 2)
-    cases = {
-        "matmul": (lambda p: ad.sum_all(ad.hadamard(ad.matmul(p, b), ad.matmul(p, b))), rng.normal(size=(3, 4))),
-        "hadamard": (lambda p: ad.sum_all(ad.hadamard(p, c5)), rng.normal(size=(5,))),
-        "relu": (lambda p: ad.sum_all(ad.hadamard(ad.relu(p), ad.relu(p))), kink_free((4, 4))),
-        "absolute": (lambda p: ad.mean_all(ad.absolute(p)), kink_free((6,))),
-        "softmax": (lambda p: ad.sum_all(ad.hadamard(ad.softmax_vec(p), c5)), rng.normal(size=(5,))),
-        "window_max": (lambda p: ad.mean_all(ad.window_max_rows(p, 2, 4, 3)), kink_free((12, 2))),
-        "mean_over_time": (lambda p: ad.sum_all(ad.hadamard(ad.mean_over_time(p, 3, 2), c24)), rng.normal(size=(6, 4))),
-        "tile_repeat": (lambda p: ad.mean_all(ad.concat_cols(ad.tile_rows(p, 3), ad.repeat_rows(p, 3))), rng.normal(size=(2, 3))),
-        "slice_rows": (lambda p: ad.mean_all(ad.slice_rows(p, 1, 3)), rng.normal(size=(5, 2))),
-        "sparse_matmul": (lambda p: ad.sum_all(ad.hadamard(
-            ad.sparse_matmul(sp_graph.normalized, p, sp_graph.normalized_t), c63)),
-            rng.normal(size=(6, 3))),
-    }
-
-    # The fused block ops, by their state input.  Positive states and
-    # weights keep every relu inside them on, as in _live_path_model.
+    # Positive states and weights keep every relu inside the fused ops on,
+    # as in _live_path_model.
     def live(*shape):
         return rng.uniform(0.5, 1.5, size=shape)
 
-    def weighted(out):
-        return ad.sum_all(ad.hadamard(out, c63))
-
+    # Constants are materialized up front: f must be a deterministic
+    # function of the checked tensor alone.
+    graph = temporal_graph(_random_net(rng, 3), 2)
+    b, c62, c63, d63, e63 = (Tensor(rng.normal(size=s)) for s in [(4, 3), (6, 2), (6, 3), (6, 3), (6, 3)])
     w1, w2, w3, factor, relations = (Tensor(live(*s)) for s in [(3, 3)] * 3 + [(3, 2), (2, 2)])
-    cases.update({
-        "encoder_layer": (lambda p: weighted(encoder_layer(p, sp_graph, w1)), live(6, 3)),
-        "hypergraph_layer": (lambda p: weighted(hypergraph_layer(p, factor, relations)), live(6, 3)),
-        "interaction_block": (lambda p: weighted(interaction_block(p, sp_graph, w1, w2, w3)), live(6, 3)),
-        "average": (lambda p: weighted(average(p, c63)), live(6, 3)),
-    })
-
-    # The ops of the head, the scale fusion and the loss.
-    c62, c65, d63, e63 = (Tensor(rng.normal(size=s)) for s in [(6, 2), (6, 5), (6, 3), (6, 3)])
-    cases.update({
-        "add": (lambda p: weighted(ad.add(p, ad.hadamard(p, p))), rng.normal(size=(6, 3))),
-        "add_bias": (lambda p: weighted(ad.add(d63, p)), rng.normal(size=(3,))),
-        "sub": (lambda p: weighted(ad.sub(ad.hadamard(p, p), p)), rng.normal(size=(6, 3))),
-        "scale": (lambda p: weighted(ad.scale(p, -1.7)), rng.normal(size=(6, 3))),
-        "concat": (lambda p: ad.sum_all(ad.hadamard(ad.concat_cols(c62, p), c65)), rng.normal(size=(6, 3))),
-        "transpose": (lambda p: weighted(ad.transpose(p)), rng.normal(size=(3, 6))),
+    cases = {
+        # p is both operands, so both halves of the vjp are checked
+        "matmul": (lambda p: ad.matmul(ad.matmul(p, b), p), rng.normal(size=(3, 4))),
+        "add_bias": (lambda p: ad.add(d63, p), rng.normal(size=(3,))),
+        "softmax": (ad.softmax_vec, rng.normal(size=(5,))),
+        "window_max": (lambda p: ad.window_max_rows(p, 2, 4, 3), kink_free(12, 2)),
+        "window_max_batched": (lambda p: ad.window_max_rows(p, 3, 6, 2), kink_free(12, 2, 2)),
+        "mean_over_time": (lambda p: ad.mean_over_time(p, 3, 2), rng.normal(size=(6, 4))),
+        "slice_rows": (lambda p: ad.slice_rows(p, 1, 3), rng.normal(size=(5, 2))),
+        "concat": (lambda p: ad.concat_cols(c62, p), rng.normal(size=(6, 3))),
+        "transpose": (ad.transpose, rng.normal(size=(3, 6))),
         # p is both the coefficient vector and, through add_bias, one of the summands
-        "linear_combination": (lambda p: weighted(ad.linear_combination([d63, ad.add(e63, p), c63], p)),
+        "linear_combination": (lambda p: ad.linear_combination([d63, ad.add(e63, p), c63], p),
                                rng.normal(size=(3,))),
-    })
-
-    # Pooling on a node-major stack of 2 windows, drawn last so that the
-    # cases above keep their draws.
-    c422 = Tensor(rng.normal(size=(4, 2, 2)))
-    cases["window_max_batched"] = (
-        lambda p: ad.sum_all(ad.hadamard(ad.window_max_rows(p, 3, 6, 2), c422)), kink_free((12, 2, 2)))
-    for name, (f, theta) in cases.items():
-        err = finite_difference_check(f, Tensor(theta))
-        results.append(OracleResult("op_gradients", name, tol, err))
+        "encoder_layer": (lambda p: encoder_layer(p, graph, w1), live(6, 3)),
+        "hypergraph_layer": (lambda p: hypergraph_layer(p, factor, relations), live(6, 3)),
+        "interaction_block": (lambda p: interaction_block(p, graph, w1, w2, w3), live(6, 3)),
+        "average": (lambda p: average(p, c63), live(6, 3)),
+    }
+    results = []
+    for name, (op, theta) in cases.items():
+        c = rng.normal(size=op(Tensor(theta)).shape)
+        err = finite_difference_check(lambda p: _weighted_sum(op(p), c), Tensor(theta))
+        results.append(OracleResult("op_gradients", name, 1e-4, err))
     return results
 
 

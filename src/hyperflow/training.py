@@ -16,9 +16,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     clip_norm: float | None = None
 
@@ -188,8 +185,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
     """
     denorm = (lambda y: y) if stats is None else stats.invert_flow
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.named_parameters(), lr=cfg.lr, beta1=cfg.beta1,
-               beta2=cfg.beta2, eps=cfg.adam_eps)
+    opt = Adam(model.named_parameters(), lr=cfg.lr)
     result = FitResult()
     best_state = None
 

@@ -1,3 +1,5 @@
+import inspect
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -14,7 +16,9 @@ from hyperflow.hyperedges import hypergraph_layer
 from hyperflow.interaction import interaction_block
 from hyperflow.model import Forecaster, ModelConfig, average
 from hyperflow.oracles import check_op_gradients
-from hyperflow.training import TrainConfig, fit, mae_loss
+from hyperflow.training import TrainConfig, fit, mae_loss, windows_per_chunk
+
+import reference_ops as ref
 
 
 # ---------------------------------------------------------------------------
@@ -43,24 +47,24 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_hadamard_examples():
     np.testing.assert_array_equal(
-        ad.hadamard(Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 1.0, 1.0])).data, [1.0, 2.0, 3.0])
+        ref.hadamard(Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 1.0, 1.0])).data, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(
-        ad.hadamard(Tensor([1.0, 2.0]), Tensor([3.0, -4.0])).data, [3.0, -8.0])
+        ref.hadamard(Tensor([1.0, 2.0]), Tensor([3.0, -4.0])).data, [3.0, -8.0])
     np.testing.assert_array_equal(
-        ad.hadamard(Tensor([5.0, -1.0]), Tensor([0.0, 0.0])).data, [0.0, 0.0])
+        ref.hadamard(Tensor([5.0, -1.0]), Tensor([0.0, 0.0])).data, [0.0, 0.0])
     with pytest.raises(ShapeError):
-        ad.hadamard(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+        ref.hadamard(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
 
 def test_relu_examples():
-    np.testing.assert_array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-    np.testing.assert_array_equal(ad.relu(Tensor([-3.0, -0.5])).data, [0.0, 0.0])
+    np.testing.assert_array_equal(ref.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(ref.relu(Tensor([-3.0, -0.5])).data, [0.0, 0.0])
 
 
 def test_relu_gradient_signs():
     x = Tensor([-1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.relu(x))
+        loss = ref.sum_all(ref.relu(x))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
@@ -74,7 +78,7 @@ def test_backward_linear_loss_gradient_is_input():
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     x = Tensor(rng.normal(size=(4, 2)))
     with Tape() as tape:
-        loss = ad.sum_all(ad.matmul(w, x))
+        loss = ref.sum_all(ad.matmul(w, x))
     tape.backward(loss)
     # d/dW sum(Wx) = row-broadcast of the column sums of x
     np.testing.assert_allclose(w.grad, np.tile(x.data.sum(axis=1), (3, 1)))
@@ -84,8 +88,8 @@ def test_backward_unused_parameter_gets_no_gradient():
     used = Tensor([1.0, 2.0], requires_grad=True)
     unused = Tensor([5.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.hadamard(used, used))
-        side = ad.scale(unused, 2.0)  # recorded but not part of the loss
+        loss = ref.sum_all(ref.hadamard(used, used))
+        side = ref.scale(unused, 2.0)  # recorded but not part of the loss
     tape.backward(loss)
     assert unused.grad is None
     assert side.grad is None
@@ -95,10 +99,10 @@ def test_backward_releases_closures():
     # y = 2x, z = y * y, loss = sum(z): every node's gradient is known.
     x = Tensor([1.0, -3.0], requires_grad=True)
     with Tape() as tape:
-        y = ad.scale(x, 2.0)
-        z = ad.hadamard(y, y)
-        loss = ad.sum_all(z)
-        ad.scale(x, 3.0)  # recorded, not reached by the loss
+        y = ref.scale(x, 2.0)
+        z = ref.hadamard(y, y)
+        loss = ref.sum_all(z)
+        ref.scale(x, 3.0)  # recorded, not reached by the loss
     values = [node.data.copy() for node in tape.nodes]
     tape.backward(loss)
     for node, value in zip(tape.nodes, values):
@@ -139,7 +143,7 @@ def test_backward_zero_residual_mae_has_zero_gradient():
     y = np.array([1.0, -2.0, 3.0])
     pred = Tensor(y.copy(), requires_grad=True)
     with Tape() as tape:
-        loss = ad.mean_all(ad.absolute(ad.sub(pred, Tensor(y))))
+        loss = mae_loss(pred, Tensor(y))
     tape.backward(loss)
     np.testing.assert_array_equal(pred.grad, np.zeros(3))
 
@@ -147,7 +151,7 @@ def test_backward_zero_residual_mae_has_zero_gradient():
 def test_backward_requires_scalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        out = ad.scale(x, 2.0)
+        out = ref.scale(x, 2.0)
     with pytest.raises(ValueError, match="scalar"):
         tape.backward(out)
 
@@ -155,7 +159,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_twice_without_reset_is_an_error():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(x)
+        loss = ref.sum_all(x)
     tape.backward(loss)
     with pytest.raises(RuntimeError, match="already ran"):
         tape.backward(loss)
@@ -165,10 +169,10 @@ def test_backward_twice_without_reset_is_an_error():
 def test_backward_rejects_loss_from_other_tape():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(x)
+        loss = ref.sum_all(x)
     other = Tape()
     with other:
-        ad.scale(x, 1.0)
+        ref.scale(x, 1.0)
     with pytest.raises(ValueError, match="not a node"):
         other.backward(loss)
 
@@ -178,8 +182,8 @@ def test_tape_topological_order_invariant():
     a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     with Tape() as tape:
         b = ad.matmul(a, a)
-        c = ad.add(b, b)
-        ad.sum_all(ad.hadamard(c, b))
+        c = ref.add(b, b)
+        ref.sum_all(ref.hadamard(c, b))
     position = {id(node): i for i, node in enumerate(tape.nodes)}
     for i, node in enumerate(tape.nodes):
         for parent in node.parents:
@@ -191,7 +195,7 @@ def test_backward_gradient_shapes_match_values():
     rng = np.random.default_rng(2)
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     with Tape() as tape:
-        loss = ad.mean_all(ad.relu(ad.matmul(a, Tensor(rng.normal(size=(3, 2))))))
+        loss = ref.sum_all(ref.relu(ad.matmul(a, Tensor(rng.normal(size=(3, 2))))))
     tape.backward(loss)
     for node in tape.nodes:
         assert node.grad is not None and node.grad.shape == node.data.shape
@@ -204,10 +208,7 @@ def test_untaped_ops_record_no_graph():
     v = Tensor(rng.normal(size=(2,)), requires_grad=True)
     graph = temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 3)
     outs = [
-        ad.matmul(x, w), ad.sparse_matmul(graph.normalized, x, graph.normalized_t),
-        ad.hadamard(x, x), ad.add(x, x), ad.add(x, v), ad.sub(x, x), ad.scale(x, 2.0),
-        ad.relu(x), ad.absolute(x), ad.mean_all(x), ad.sum_all(x), ad.transpose(x),
-        ad.concat_cols(x, x), ad.slice_rows(x, 1, 3), ad.tile_rows(x, 2), ad.repeat_rows(x, 2),
+        ad.matmul(x, w), ad.add(x, v), ad.transpose(x), ad.concat_cols(x, x), ad.slice_rows(x, 1, 3),
         ad.window_max_rows(x, 1, 3, 2), ad.window_max_rows(x, 3, 3, 2),
         ad.mean_over_time(x, 3, 2), ad.softmax_vec(v), ad.linear_combination([x, x], v),
         encoder_layer(x, graph, w), hypergraph_layer(x, w, w), interaction_block(x, graph, w, w, w),
@@ -218,7 +219,7 @@ def test_untaped_ops_record_no_graph():
 
     const = ad.matmul(x, w)  # used inside a tape, it is a constant
     with Tape() as tape:
-        loss = ad.sum_all(ad.hadamard(const, ad.scale(const, 1.0)))
+        loss = ref.sum_all(ref.hadamard(const, ref.scale(const, 1.0)))
     tape.backward(loss)
     assert x.grad is None and w.grad is None and const.grad is None
     assert [node.op for node in tape.nodes] == ["scale", "hadamard", "sum_all"]
@@ -228,10 +229,10 @@ def test_backward_shared_gradients_are_never_written_in_place():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     with Tape() as tape:
-        y = ad.scale(x, 1.0)
-        doubled = ad.add(y, y)
-        total = ad.add(doubled, x)  # the leaf's first contribution is a shared array
-        loss = ad.sum_all(total)
+        y = ref.scale(x, 1.0)
+        doubled = ref.add(y, y)
+        total = ref.add(doubled, x)  # the leaf's first contribution is a shared array
+        loss = ref.sum_all(total)
     tape.backward(loss)
     np.testing.assert_array_equal(y.grad, np.full((2, 3), 2.0))
     np.testing.assert_array_equal(doubled.grad, np.ones((2, 3)))
@@ -254,7 +255,7 @@ def test_window_max_gradient_goes_to_earliest_maximizer(window):
         g = rng.normal(size=(t // window * n, *rest))
         x = Tensor(a, requires_grad=True)
         with Tape() as tape:
-            loss = ad.sum_all(ad.hadamard(ad.window_max_rows(x, window, t, n), Tensor(g)))
+            loss = ref.sum_all(ref.hadamard(ad.window_max_rows(x, window, t, n), Tensor(g)))
         tape.backward(loss)
         expected = np.zeros_like(a)
         for b in range(t // window):
@@ -276,16 +277,16 @@ def test_finite_values_whose_sum_overflows_are_accepted():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # valid data must not even warn
         big = Tensor(np.full(18, 1e308))  # every entry finite, the sum is not
-        np.testing.assert_array_equal(ad.scale(big, 1.0).data, big.data)
+        np.testing.assert_array_equal(ref.scale(big, 1.0).data, big.data)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="produced by scale"):
-        ad.scale(big, 10.0)
+        ref.scale(big, 10.0)
 
 
 def test_nan_gradient_identifies_op(monkeypatch):
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        mid = ad.scale(x, 2.0)
-        loss = ad.sum_all(mid)
+        mid = ref.scale(x, 2.0)
+        loss = ref.sum_all(mid)
     mid._vjp = lambda g: (g * np.nan,)  # inject a broken backward rule
     with pytest.raises(NumericError, match="scale"):
         tape.backward(loss)
@@ -316,7 +317,7 @@ def _backward_of(fn, inputs, upstream, twice=False):
     """Run backward of sum(out * upstream), or of sum((out + out) * upstream)."""
     with Tape() as tape:
         out = fn(*inputs)
-        loss = ad.sum_all(ad.hadamard(ad.add(out, out) if twice else out, Tensor(upstream)))
+        loss = ref.sum_all(ref.hadamard(ref.add(out, out) if twice else out, Tensor(upstream)))
     tape.backward(loss)
 
 
@@ -366,23 +367,62 @@ def test_nonfinite_inside_fused_op_identifies_op(op, param):
 
 
 def test_fd_check_quadratic():
-    err = finite_difference_check(lambda p: ad.sum_all(ad.hadamard(p, p)), Tensor([3.0]))
+    err = finite_difference_check(lambda p: ref.sum_all(ref.hadamard(p, p)), Tensor([3.0]))
     assert err < 1e-8
 
 
 def test_fd_check_constant_function():
     c = Tensor([7.0])
-    err = finite_difference_check(lambda p: ad.sum_all(c), Tensor([1.0, 2.0]))
+    err = finite_difference_check(lambda p: ref.sum_all(c), Tensor([1.0, 2.0]))
     assert err < 1e-8
 
 
 OP_GRADIENTS = {result.name: result for result in check_op_gradients(seed=0)}
+REFERENCE_CASES = ref.gradient_cases(seed=0)
 
 
-@pytest.mark.parametrize("op_name", list(OP_GRADIENTS))
+@pytest.mark.parametrize("op_name", list(OP_GRADIENTS) + list(REFERENCE_CASES))
 def test_fd_check_each_op(op_name):
-    result = OP_GRADIENTS[op_name]
-    assert result.passed, result.line()
+    """The model's ops as `verify` checks them, and the reference ops."""
+    if op_name in OP_GRADIENTS:
+        result = OP_GRADIENTS[op_name]
+        assert result.passed, result.line()
+    else:
+        f, theta = REFERENCE_CASES[op_name]
+        assert finite_difference_check(f, Tensor(theta)) < 1e-4
+
+
+# Every public function of autodiff but these is an op.
+NOT_OPS = {"record", "tracked", "finite_difference_check"}
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_model_records_every_autodiff_op(chunked, monkeypatch):
+    """A taped forward and loss at the skill config call every op autodiff
+    defines, for one window and for a chunk, so no op there is dead code."""
+    defined = {name for name, fn in vars(ad).items()
+               if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+               and not name.startswith("_")} - NOT_OPS
+    callers = set()
+    original = ad.record
+
+    def logged_record(*args, **kwargs):
+        callers.add(sys._getframe(1).f_code.co_name)  # the autodiff op that records
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "record", logged_record)
+    rng = np.random.default_rng(15)
+    n = 30
+    net = RoadNetwork(n, tuple((u, (u + k) % n, 1.0) for u in range(n) for k in (1, 2)))
+    cfg = ModelConfig(n_nodes=n, width=16, n_hyperedges=8, windows=(1, 2, 3), encoder_layers=2,
+                      scale_iters=2)
+    model = Forecaster(cfg, net, seed=0)
+    batch = (windows_per_chunk(cfg),) if chunked else ()
+    x, y = rng.normal(size=(*batch, 12, n, 1)), rng.normal(size=(*batch, 12, n))
+    with Tape() as tape:
+        loss = mae_loss(model.forward(x), Tensor(y))
+    tape.backward(loss)
+    assert callers == defined, (sorted(defined - callers), sorted(callers - defined))
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +452,10 @@ def test_backward_linearity_over_loss_sum():
         tape.backward(loss)
         return w.grad
 
-    g1 = grad_of(lambda w: ad.sum_all(ad.matmul(w, x1)))
-    g2 = grad_of(lambda w: ad.sum_all(ad.relu(ad.matmul(w, x2))))
-    g_sum = grad_of(lambda w: ad.add(ad.sum_all(ad.matmul(w, x1)),
-                                     ad.sum_all(ad.relu(ad.matmul(w, x2)))))
+    g1 = grad_of(lambda w: ref.sum_all(ad.matmul(w, x1)))
+    g2 = grad_of(lambda w: ref.sum_all(ref.relu(ad.matmul(w, x2))))
+    g_sum = grad_of(lambda w: ref.add(ref.sum_all(ad.matmul(w, x1)),
+                                     ref.sum_all(ref.relu(ad.matmul(w, x2)))))
     np.testing.assert_allclose(g_sum, g1 + g2, atol=1e-12)
 
 
@@ -423,7 +463,7 @@ def test_gradient_accumulates_across_tapes():
     x = Tensor([2.0], requires_grad=True)
     for _ in range(3):
         with Tape() as tape:
-            loss = ad.sum_all(ad.scale(x, 5.0))
+            loss = ref.sum_all(ref.scale(x, 5.0))
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, [15.0])
 

@@ -273,6 +273,35 @@ def test_export_incidence_zero_parameters_gives_zero_values(synth_dir, trained_d
     assert values and all(v == 0.0 for v in values)
 
 
+def test_failed_export_incidence_keeps_previous_csv(synth_dir, trained_dir, tmp_path,
+                                                    disk_fills_after, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "incidence.csv"
+    out.write_text("t,node,hyperedge,value\r\n0,0,0,1.0\r\n")
+    before = out.read_bytes()
+    disk_fills_after(100)  # the header and a few rows
+    rc = main(["export-incidence", "--data", str(synth_dir / "signals.bin"),
+               "--edges", str(synth_dir / "edges.csv"),
+               "--checkpoint", str(trained_dir / "model.ckpt"), "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in out_dir.iterdir()] == ["incidence.csv"]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "export-incidence"])
+def test_checkpoint_commands_take_no_seed(command, capsys):
+    # They draw no random numbers, so a --seed would be parsed and ignored.
+    argv = [command, "--data", "s.bin", "--edges", "e.csv", "--checkpoint", "m.ckpt", "--seed", "1"]
+    if command != "eval":
+        argv += ["--out", "out.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_bench_writes_csv_and_slopes(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--out", str(out), "--d", "8", "--t-grid", "6,12",

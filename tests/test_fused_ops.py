@@ -1,5 +1,6 @@
-"""Each fused block op against the same expression built from primitive ops,
-and on a stack of windows against the op run on each window.
+"""Each fused block op against the same expression built from primitive ops
+(autodiff's and those of reference_ops), and on a stack of windows against
+the op run on each window.
 
 A fused op must give the value and every input gradient of its primitive
 composition, and compute no gradient for an input that is a constant.  On
@@ -20,28 +21,29 @@ from hyperflow.graphs import RoadNetwork, temporal_graph
 from hyperflow.hyperedges import hypergraph_layer
 from hyperflow.interaction import interaction_block
 from hyperflow.model import average
+from reference_ops import add, hadamard, relu, scale, sparse_matmul, sum_all
 
 N, T, D, I, B = 4, 3, 3, 2, 3
 
 
 def primitive_encoder_layer(h, graph, w):
-    return ad.relu(ad.sparse_matmul(graph.normalized, ad.matmul(h, w), graph.normalized_t))
+    return relu(sparse_matmul(graph.normalized, ad.matmul(h, w), graph.normalized_t))
 
 
 def primitive_hypergraph_layer(h, factor, relations):
     lam = ad.matmul(h, factor)
     pooled = ad.matmul(ad.transpose(lam), h)
-    return ad.matmul(lam, ad.add(ad.relu(ad.matmul(relations, pooled)), pooled))
+    return ad.matmul(lam, add(relu(ad.matmul(relations, pooled)), pooled))
 
 
 def primitive_interaction_block(h, graph, pair_left, pair_right, through):
-    mixed = ad.sparse_matmul(graph.normalized, h, graph.normalized_t)
-    pair = ad.relu(ad.hadamard(ad.matmul(mixed, pair_left), ad.matmul(mixed, pair_right)))
-    return ad.add(pair, ad.relu(ad.matmul(mixed, through)))
+    mixed = sparse_matmul(graph.normalized, h, graph.normalized_t)
+    pair = relu(hadamard(ad.matmul(mixed, pair_left), ad.matmul(mixed, pair_right)))
+    return add(pair, relu(ad.matmul(mixed, through)))
 
 
 def primitive_average(a, b):
-    return ad.scale(ad.add(a, b), 0.5)
+    return scale(add(a, b), 0.5)
 
 
 def random_graph(rng):
@@ -71,7 +73,7 @@ def run(fn, arrays, tracked, graph, upstream):
     args = inputs[:1] + [graph] + inputs[1:] if graph is not None else inputs
     with Tape() as tape:
         out = fn(*args)
-        loss = ad.sum_all(ad.hadamard(out, Tensor(upstream)))
+        loss = sum_all(hadamard(out, Tensor(upstream)))
     recorded = len(out.parents), out._vjp  # backward releases both
     tape.backward(loss)
     return out, inputs, *recorded

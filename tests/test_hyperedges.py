@@ -3,8 +3,9 @@ import io
 
 import numpy as np
 
-from hyperflow.autodiff import Tensor, absolute, finite_difference_check, mean_all, sub
+from hyperflow.autodiff import Tensor, finite_difference_check
 from hyperflow.hyperedges import hypergraph_block, write_incidence_csv
+from hyperflow.training import mae_loss
 
 
 def params_from(factor, relations):
@@ -137,12 +138,12 @@ def test_block_gradient_check():
     relations = rng.normal(size=(2, 2))
 
     def f(p):
-        return mean_all(absolute(sub(hypergraph_block(h, p, Tensor(relations), 2), target)))
+        return mae_loss(hypergraph_block(h, p, Tensor(relations), 2), target)
 
     assert finite_difference_check(f, Tensor(factor)) < 1e-4
 
     def f2(p):
-        return mean_all(absolute(sub(hypergraph_block(h, Tensor(factor), p, 2), target)))
+        return mae_loss(hypergraph_block(h, Tensor(factor), p, 2), target)
 
     assert finite_difference_check(f2, Tensor(relations)) < 1e-4
 

@@ -1,9 +1,10 @@
 import numpy as np
 
-from hyperflow.autodiff import Tensor, absolute, finite_difference_check, mean_all, sub
+from hyperflow.autodiff import Tensor, finite_difference_check
 from hyperflow.graphs import RoadNetwork, temporal_graph
 from hyperflow.interaction import interaction_block
 from hyperflow.oracles import interaction_pair_sum
+from hyperflow.training import mae_loss
 
 
 def params_from(w1, w2, w3):
@@ -105,7 +106,7 @@ def test_block_gradient_check():
         def f(p, _which=which):
             mats = [Tensor(w1), Tensor(w2), Tensor(w3)]
             mats[_which] = p
-            return mean_all(absolute(sub(interaction_block(Tensor(h), g, *mats), target)))
+            return mae_loss(interaction_block(Tensor(h), g, *mats), target)
 
         assert finite_difference_check(f, Tensor([w1, w2, w3][which])) < 1e-4
 
