@@ -96,7 +96,7 @@ def _split_samples(prepared, split: str):
 def _load_model(checkpoint_path) -> tuple[Forecaster, NormStats, dict]:
     meta, tensors = load_checkpoint(checkpoint_path)
     cfg = ModelConfig.from_json(meta["model"])
-    net = RoadNetwork(cfg.n_nodes, tuple(tuple(e) for e in meta["edges"]))
+    net = RoadNetwork(cfg.n_nodes, meta["edges"])
     model = Forecaster(cfg, net, seed=0)
     model.load_state(tensors)
     stats = NormStats(mean=np.array(meta["stats"]["mean"]), std=np.array(meta["stats"]["std"]))

@@ -69,7 +69,7 @@ class NormStats:
         return y * self.std[0] + self.mean[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForecastSample:
     input: np.ndarray  # (T, N, F)
     target: np.ndarray  # (T', N), flow channel
@@ -92,14 +92,11 @@ def make_windows(signal: SignalTensor, lookback: int, horizon: int) -> list[Fore
     total = signal.n_steps
     if total < lookback + horizon:
         raise ValueError(f"series of {total} steps cannot fit lookback {lookback} + horizon {horizon}")
-    samples = []
-    for start in range(total - lookback - horizon + 1):
-        samples.append(ForecastSample(
-            input=signal.values[start:start + lookback],
-            target=signal.values[start + lookback:start + lookback + horizon, :, 0],
-            start=start,
-        ))
-    return samples
+    values = signal.values
+    return [ForecastSample(input=values[start:start + lookback],
+                           target=values[start + lookback:start + lookback + horizon, :, 0],
+                           start=start)
+            for start in range(total - lookback - horizon + 1)]
 
 
 @dataclass
@@ -172,8 +169,8 @@ def ingest(signals_path, edges_path) -> tuple[SignalTensor, RoadNetwork]:
         bad = tuple(int(k) for k in np.argwhere(~np.isfinite(values))[0])
         raise ValueError(f"{signals_path}: non-finite value at (t, node, feature) = {bad}")
 
-    edges = read_edge_csv(edges_path, n_nodes=n)
-    return SignalTensor(values, interval_minutes=interval), RoadNetwork(n_nodes=n, edges=tuple(edges))
+    net = RoadNetwork(n_nodes=n, edges=read_edge_csv(edges_path, n_nodes=n))
+    return SignalTensor(values, interval_minutes=interval), net
 
 
 def save_membership(membership: np.ndarray, path) -> None:

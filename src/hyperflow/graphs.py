@@ -11,7 +11,7 @@ the one constructor: it builds the expansion and row-normalizes it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,24 +21,47 @@ from .checkpoint import atomic_open
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    """Static weighted directed graph over N sensors."""
+    """Static weighted directed graph over N sensors.
+
+    `edges` takes any sequence of (from, to, weight) triples and holds them
+    as (int, int, float) tuples in input order; `arrays` holds the same
+    edges as read-only columns, which graph construction uses.
+    """
 
     n_nodes: int
     edges: tuple[tuple[int, int, float], ...]
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError(f"road network needs at least one node, got {self.n_nodes}")
-        object.__setattr__(self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges))
-        seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise ValueError(f"edge ({u},{v}) references a node outside [0,{self.n_nodes})")
-            if not (np.isfinite(w) and w >= 0):
-                raise ValueError(f"edge ({u},{v}) has invalid weight {w}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+        n = self.n_nodes
+        if n < 1:
+            raise ValueError(f"road network needs at least one node, got {n}")
+        edges = tuple(self.edges)
+        table = np.array(edges, dtype=float)
+        if table.size == 0:
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError(f"edges must be (from, to, weight) triples, got shape {table.shape}")
+        u, v, w = table.T
+        # int() truncates toward zero, so an id in (-1, n) names a node.
+        in_range = (u > -1) & (u < n) & (v > -1) & (v < n)
+        u, v = (np.where(in_range, x, 0).astype(np.int64) for x in (u, v))
+        valid_weight = np.isfinite(w) & (w >= 0)
+        repeated = np.ones(len(w), dtype=bool)
+        repeated[np.unique(u * n + v, return_index=True)[1]] = False
+        bad = ~in_range | ~valid_weight | repeated
+        if bad.any():  # report the first offending edge, as a per-edge scan would
+            i = int(np.argmax(bad))
+            a, b = int(edges[i][0]), int(edges[i][1])
+            if not in_range[i]:
+                raise ValueError(f"edge ({a},{b}) references a node outside [0,{n})")
+            if not valid_weight[i]:
+                raise ValueError(f"edge ({a},{b}) has invalid weight {float(w[i])}")
+            raise ValueError(f"duplicate edge ({a},{b})")
+        for x in (u, v, w):
+            x.flags.writeable = False
+        object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist(), w.tolist())))
+        object.__setattr__(self, "arrays", (u, v, w))
 
 
 @dataclass
@@ -70,58 +93,64 @@ def temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
         raise ValueError(f"temporal graph needs t_steps >= 1, got {t_steps}")
     n = net.n_nodes
     total = n * t_steps
-
-    rows, cols, vals = [], [], []
-    offd = [(u, v, w) for u, v, w in net.edges if u != v and w != 0.0]
-    if offd:
-        u, v, w = (np.array(x) for x in zip(*offd))
-        for t in range(t_steps):
-            rows.append(u + t * n)
-            cols.append(v + t * n)
-            vals.append(w)
-
+    u, v, w = net.arrays
+    keep = (u != v) & (w != 0.0)
+    offsets = np.arange(0, total, n)[:, None]  # first node id of each step
     loops = np.arange(total)
-    rows.append(loops)
-    cols.append(loops)
-    vals.append(np.ones(total))
-
-    if t_steps > 1:
-        fwd = np.arange(total - n)
-        rows.append(fwd)
-        cols.append(fwd + n)
-        vals.append(np.ones(total - n))
-
-    adj = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(total, total),
-    ).tocsr()
-    sums = np.asarray(adj.sum(axis=1)).ravel()
+    fwd = loops[:total - n]
+    rows = np.concatenate([(u[keep] + offsets).ravel(), loops, fwd])
+    cols = np.concatenate([(v[keep] + offsets).ravel(), loops, fwd + n])
+    vals = np.concatenate([np.tile(w[keep], t_steps), np.ones(total + len(fwd))])
+    adj = sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
+    sums = adj @ np.ones(total)  # each row in ascending column order
     if np.any(sums <= 0):
         raise RuntimeError("temporal graph has an empty row; self-loops should make this impossible")
-    norm = (sp.diags(1.0 / sums) @ adj).tocsr()
+    norm = adj.copy()
+    norm.data *= np.repeat(1.0 / sums, np.diff(adj.indptr))
     return TemporalGraph(n_road_nodes=n, t_steps=t_steps, adjacency=adj,
                          normalized=norm, normalized_t=norm.T.tocsr())
 
 
+_EDGE_ROW = np.dtype([("from", np.int64), ("to", np.int64), ("weight", np.float64)])
+
+
 def read_edge_csv(path, n_nodes: int | None = None) -> list[tuple[int, int, float]]:
-    """Parse a `from,to,weight` CSV of 0-based directed edges."""
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    """Parse a `from,to,weight` CSV of 0-based directed edges.
+
+    Blank lines are skipped and columns after the third ignored.  A row
+    that does not parse, or names a node outside [0, n_nodes), is reported
+    as `path:lineno`.
+    """
+    with open(path) as fh:
+        header = next(csv.reader(fh), None)
         if header is None or [c.strip() for c in header[:3]] != ["from", "to", "weight"]:
             raise ValueError(f"{path}: expected header 'from,to,weight', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                u, v, w = int(row[0]), int(row[1]), float(row[2])
-            except (ValueError, IndexError) as err:
-                raise ValueError(f"{path}:{lineno}: malformed edge row {row}") from err
-            if n_nodes is not None and not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise ValueError(f"{path}:{lineno}: edge ({u},{v}) references a node >= {n_nodes}")
-            edges.append((u, v, w))
-    return edges
+        body = fh.read().split("\n")
+    if not any(body):
+        return []
+    try:
+        table = np.loadtxt(body, dtype=_EDGE_ROW, delimiter=",", usecols=(0, 1, 2), ndmin=1,
+                           comments=None, quotechar='"')
+    except ValueError as err:
+        _check_edge_rows(path, body, n_nodes)
+        raise ValueError(f"{path}: {err}") from err
+    u, v, w = (table[name] for name in _EDGE_ROW.names)
+    if n_nodes is not None and not np.all((u >= 0) & (u < n_nodes) & (v >= 0) & (v < n_nodes)):
+        _check_edge_rows(path, body, n_nodes)
+    return list(zip(u.tolist(), v.tolist(), w.tolist()))
+
+
+def _check_edge_rows(path, body: list[str], n_nodes: int | None) -> None:
+    """Raise at the first body line that does not parse or is out of range."""
+    for lineno, row in enumerate(csv.reader(body), start=2):
+        if not row:
+            continue
+        try:
+            u, v, _ = int(row[0]), int(row[1]), float(row[2])
+        except (ValueError, IndexError) as err:
+            raise ValueError(f"{path}:{lineno}: malformed edge row {row}") from err
+        if n_nodes is not None and not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise ValueError(f"{path}:{lineno}: edge ({u},{v}) references a node >= {n_nodes}")
 
 
 def write_edge_csv(net: RoadNetwork, path) -> None:

@@ -35,14 +35,16 @@ def interaction_block(h: Tensor, graph: TemporalGraph, pair_left: Tensor, pair_r
     mixed = np.asarray(graph.normalized @ h.data.reshape(rows, -1)).reshape(-1, d)
     left, right, lin = (mixed @ w.data for w in weights)
     pair = left * right
+    # Backward needs only the relu sign masks, so both relus run in place.
+    pair_on, lin_on = pair > 0, lin > 0
 
     def vjp(g):
         g2 = g.reshape(-1, d)
-        g_pair = g2 * (pair > 0)
+        g_pair = g2 * pair_on
         g_proj = np.empty((3, *g2.shape))
         np.multiply(g_pair, right, out=g_proj[0])
         np.multiply(g_pair, left, out=g_proj[1])
-        np.multiply(g2, lin > 0, out=g_proj[2])
+        np.multiply(g2, lin_on, out=g_proj[2])
         g_w = [mixed.T @ g_k if need else None for g_k, need in zip(g_proj, need_w)]
         g_h = None
         if need_h:
@@ -52,6 +54,6 @@ def interaction_block(h: Tensor, graph: TemporalGraph, pair_left: Tensor, pair_r
             g_h = (graph.normalized_t @ g_mixed.reshape(rows, -1)).reshape(h.shape)
         return g_h, *g_w
 
-    out = np.maximum(pair, 0.0)
-    out += np.maximum(lin, 0.0)
+    out = np.maximum(pair, 0.0, out=pair)
+    out += np.maximum(lin, 0.0, out=lin)
     return record(out.reshape(h.shape), "interaction_block", (h, *weights), vjp)

@@ -10,7 +10,7 @@ independent so tests can compare the production path against it.
 import numpy as np
 
 
-def dense_normalized_adjacency(edges, n, t_steps):
+def dense_adjacency(edges, n, t_steps):
     weight = {(u, v): w for u, v, w in edges}
     size = n * t_steps
     a = np.zeros((size, size))
@@ -22,7 +22,12 @@ def dense_normalized_adjacency(edges, n, t_steps):
                         a[t * n + i, tp * n + j] = 1.0
                     elif t == tp and i != j:
                         a[t * n + i, tp * n + j] = weight.get((i, j), 0.0)
-    for row in range(size):
+    return a
+
+
+def dense_normalized_adjacency(edges, n, t_steps):
+    a = dense_adjacency(edges, n, t_steps)
+    for row in range(n * t_steps):
         a[row] /= a[row].sum()
     return a
 

@@ -8,6 +8,7 @@ from hyperflow.graphs import (
     temporal_graph,
     write_edge_csv,
 )
+from reference_model import dense_adjacency
 
 
 def random_net(rng, n, n_edges):
@@ -76,6 +77,90 @@ def test_invalid_arguments():
         RoadNetwork(2, ((0, 1, 1.0), (0, 1, 2.0)))
 
 
+def scan_first_rejection(n, edges):
+    """The per-edge scan: the message for the first offending edge, else None."""
+    seen = set()
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) references a node outside [0,{n})"
+        if not (np.isfinite(w) and w >= 0):
+            return f"edge ({u},{v}) has invalid weight {w}"
+        if (u, v) in seen:
+            return f"duplicate edge ({u},{v})"
+        seen.add((u, v))
+    return None
+
+
+def rejection(n, edges):
+    try:
+        RoadNetwork(n, edges)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("edges, message", [
+    # a duplicate comes first, then an out-of-range node and a bad weight
+    (((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (5, 0, 1.0), (1, 0, -1.0)), "duplicate edge (0,1)"),
+    # a bad weight comes first; a later edge repeats it
+    (((0, 1, 1.0), (1, 0, float("nan")), (1, 0, 1.0), (0, 9, 1.0)), "edge (1,0) has invalid weight nan"),
+    (((2, 1, float("inf")), (0, 1, -1.0)), "edge (2,1) has invalid weight inf"),
+    # an out-of-range node comes first, on an edge whose weight is bad too
+    (((0, 1, 1.0), (3, 0, -1.0), (0, 1, 1.0), (1, 1, -2.0)), "edge (3,0) references a node outside [0,3)"),
+    (((-1, 0, 1.0), (0, -1, 1.0)), "edge (-1,0) references a node outside [0,3)"),
+])
+def test_road_network_reports_first_offending_edge(edges, message):
+    assert scan_first_rejection(3, edges) == message
+    with pytest.raises(ValueError) as err:
+        RoadNetwork(3, edges)
+    assert str(err.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4),
+                                             st.sampled_from([0.0, 0.5, 2.0, -1.0, float("nan"), float("inf")])),
+                                   max_size=8))
+def test_road_network_rejects_like_a_per_edge_scan(n, edges):
+    assert rejection(n, edges) == scan_first_rejection(n, edges)
+
+
+def test_road_network_normalizes_accepted_edges():
+    net = RoadNetwork(np.int64(3), [(np.int64(0), 2.0, 1), (np.int32(1), np.int64(2), np.float32(0.5)),
+                                    (2.0, np.float64(0.0), "1.25"), [1, 0, True]])
+    assert net.edges == ((0, 2, 1.0), (1, 2, 0.5), (2, 0, 1.25), (1, 0, 1.0))
+    assert all(type(x) is t for e in net.edges for x, t in zip(e, (int, int, float)))
+    assert RoadNetwork(2, ()).edges == ()
+    assert RoadNetwork(2, [(0, 1, 1.0)]) == RoadNetwork(2, ((0, 1, 1.0),))
+    with pytest.raises(ValueError):
+        RoadNetwork(2, ((0, 1),))
+
+
+def sorted_within_rows(m):
+    return all(np.all(np.diff(m.indices[m.indptr[r]:m.indptr[r + 1]]) > 0) for r in range(m.shape[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4),
+       st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.one_of(st.just(0.0), st.floats(0.0, 10.0)), max_size=12))
+def test_temporal_graph_matches_dense_reference(n, t, weights):
+    edges = tuple((u, v, w) for (u, v), w in weights.items() if u < n and v < n)
+    g = temporal_graph(RoadNetwork(n, edges), t)
+    a = dense_adjacency(edges, n, t)
+    np.testing.assert_array_equal(g.adjacency.toarray(), a)
+    expected = np.zeros_like(a)
+    for r in range(n * t):
+        total = 0.0
+        for x in a[r]:  # left to right, as a row of the CSR is summed
+            total += x
+        expected[r] = (1.0 / total) * a[r]
+    norm = g.normalized.toarray()
+    np.testing.assert_array_equal(norm, expected)
+    assert g.normalized.has_sorted_indices and sorted_within_rows(g.normalized)
+    np.testing.assert_array_equal(g.normalized_t.toarray(), norm.T)
+
+
 def test_normalize_rows():
     g = temporal_graph(RoadNetwork(3, ((0, 1, 1.0), (0, 2, 2.0))), 1)
     dense = g.normalized.toarray()
@@ -136,3 +221,33 @@ def test_edge_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n0,1,1.0\n")
     with pytest.raises(ValueError, match="header"):
         read_edge_csv(path)
+
+
+def test_edge_csv_skips_blank_lines_and_ignores_extra_columns(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("from,to,weight,note\n\n0,1,1.5,a\n\n2,0,0.25,b,c\n")
+    assert read_edge_csv(path, n_nodes=3) == [(0, 1, 1.5), (2, 0, 0.25)]
+    assert all(type(x) is t for e in read_edge_csv(path) for x, t in zip(e, (int, int, float)))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1,1.0\n\n1,1.5,2.0\n", r"edges\.csv:4: malformed edge row \['1', '1\.5', '2\.0'\]"),
+    ("0,1,1.0\n1,x,2.0\n", r"edges\.csv:3: malformed edge row"),
+    ("0,1\n", r"edges\.csv:2: malformed edge row"),
+    ("0,1,1.0\n\n\n1,3,2.0\n", r"edges\.csv:5: edge \(1,3\) references a node >= 3"),
+    ("0,1,1.0\n2,-1,2.0\n0,7,1.0\n", r"edges\.csv:3: edge \(2,-1\) references a node >= 3"),
+])
+def test_edge_csv_rejects_rows_with_line_number(tmp_path, body, message):
+    path = tmp_path / "edges.csv"
+    path.write_text("from,to,weight\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_edge_csv(path, n_nodes=3)
+
+
+def test_edge_csv_checks_header_of_empty_file(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="header"):
+        read_edge_csv(path)
+    path.write_text("from,to,weight\n\n")
+    assert read_edge_csv(path) == []
