@@ -15,22 +15,9 @@ from pathlib import Path
 import numpy as np
 
 import hyperflow as hf
-from hyperflow.hyperedges import write_incidence_csv
+from hyperflow.hyperedges import community_cosines, write_incidence_csv
 from hyperflow.model import Forecaster, ModelConfig
 from hyperflow.training import TrainConfig, evaluate, fit, ha_baseline, predict_batch
-
-
-def community_cosine_gap(lam, membership):
-    """Mean incidence-vector cosine within communities minus across them."""
-    t_steps, n, _ = lam.shape
-    same, cross = [], []
-    for t in range(t_steps):
-        unit = lam[t] / np.maximum(np.linalg.norm(lam[t], axis=1, keepdims=True), 1e-12)
-        cos = unit @ unit.T
-        for i in range(n):
-            for j in range(i + 1, n):
-                (same if membership[i] == membership[j] else cross).append(cos[i, j])
-    return float(np.mean(same)), float(np.mean(cross))
 
 
 def main():
@@ -77,7 +64,7 @@ def main():
     lam = capture["incidence"][1][-1]
     write_incidence_csv(lam, cfg.lookback, cfg.n_nodes, out / "incidence.csv")
     lam = lam.reshape(cfg.lookback, cfg.n_nodes, cfg.n_hyperedges)
-    same_cos, cross_cos = community_cosine_gap(lam, membership)
+    same_cos, cross_cos = community_cosines(lam, membership)
 
     results = {
         "model": model_rep.as_dict(),

@@ -165,8 +165,6 @@ def _prepare_for_checkpoint(args):
 def cmd_eval(args) -> int:
     model, stats, prepared = _prepare_for_checkpoint(args)
     samples = _split_samples(prepared, args.split)
-    if not samples:
-        raise ValueError(f"split {args.split!r} is empty")
     pred = stats.invert_flow(predict_batch(model, samples))
     true = stats.invert_flow(np.stack([s.target for s in samples]))
     report = evaluate(pred, true)
@@ -177,8 +175,6 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model, stats, prepared = _prepare_for_checkpoint(args)
     samples = _split_samples(prepared, args.split)
-    if not samples:
-        raise ValueError(f"split {args.split!r} is empty")
     lookback = model.cfg.lookback
     preds = stats.invert_flow(predict_batch(model, samples))
     # Windows are ordered by start with stride 1, so a target step recurs in

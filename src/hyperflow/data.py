@@ -33,7 +33,7 @@ class SignalTensor:
             raise ValueError(f"signal must be (T, N, F), got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             bad = tuple(int(k) for k in np.argwhere(~np.isfinite(self.values))[0])
-            raise ValueError(f"non-finite signal value at index {bad}")
+            raise ValueError(f"non-finite signal value at (t, node, feature) = {bad}")
 
     @property
     def n_steps(self) -> int:
@@ -62,9 +62,6 @@ class NormStats:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
     def invert_flow(self, y: np.ndarray) -> np.ndarray:
         return y * self.std[0] + self.mean[0]
 
@@ -89,10 +86,13 @@ def train_stats(signal: SignalTensor, lookback: int, horizon: int) -> NormStats:
 
 def make_windows(signal: SignalTensor, lookback: int, horizon: int) -> list[ForecastSample]:
     """All stride-1 windows, ordered by start index."""
-    total = signal.n_steps
+    return _windows(signal.values, lookback, horizon)
+
+
+def _windows(values: np.ndarray, lookback: int, horizon: int) -> list[ForecastSample]:
+    total = values.shape[0]
     if total < lookback + horizon:
         raise ValueError(f"series of {total} steps cannot fit lookback {lookback} + horizon {horizon}")
-    values = signal.values
     return [ForecastSample(input=values[start:start + lookback],
                            target=values[start + lookback:start + lookback + horizon, :, 0],
                            start=start)
@@ -120,9 +120,9 @@ def prepare_dataset(signal: SignalTensor, lookback: int, horizon: int,
     """
     if stats is None:
         stats = train_stats(signal, lookback, horizon)
-    normalized = SignalTensor(stats.apply(signal.values), signal.interval_minutes)
-    samples = make_windows(normalized, lookback, horizon)
-    train, val, test = split_dataset(samples)
+    # The signal was checked finite when it was built; its normalized copy is
+    # windowed as an array, not scanned again as a SignalTensor.
+    train, val, test = split_dataset(_windows(stats.apply(signal.values), lookback, horizon))
     return PreparedData(stats=stats, train=train, val=val, test=test)
 
 
@@ -164,13 +164,13 @@ def ingest(signals_path, edges_path) -> tuple[SignalTensor, RoadNetwork]:
         raise ValueError(
             f"{signals_path}: holds {raw.size} values but sidecar says T*N*F = {t * n * f}"
         )
-    values = raw.reshape(t, n, f).astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        bad = tuple(int(k) for k in np.argwhere(~np.isfinite(values))[0])
-        raise ValueError(f"{signals_path}: non-finite value at (t, node, feature) = {bad}")
+    try:
+        signal = SignalTensor(raw.reshape(t, n, f).astype(np.float64), interval_minutes=interval)
+    except ValueError as err:
+        raise ValueError(f"{signals_path}: {err}") from err
 
     net = RoadNetwork(n_nodes=n, edges=read_edge_csv(edges_path, n_nodes=n))
-    return SignalTensor(values, interval_minutes=interval), net
+    return signal, net
 
 
 def save_membership(membership: np.ndarray, path) -> None:

@@ -91,3 +91,22 @@ def write_incidence_csv(incidence: np.ndarray, t_steps: int, n_nodes: int, path)
             fh.write("".join([f"{t},{i},{e},{value!r}\r\n"
                               for i, row in enumerate(rows[t * n_nodes:(t + 1) * n_nodes])
                               for e, value in enumerate(row)]))
+
+
+def community_cosines(incidence: np.ndarray, membership) -> tuple[float, float]:
+    """Mean cosine of node incidence vectors within and across communities.
+
+    incidence is (T, N, I), one hyperedge-membership row per step and node;
+    membership gives each node's community.  Every pair i < j at every step
+    counts once.
+    """
+    t_steps, n, _ = incidence.shape
+    same, cross = [], []
+    for t in range(t_steps):
+        lam = incidence[t]
+        unit = lam / np.maximum(np.linalg.norm(lam, axis=1, keepdims=True), 1e-12)
+        cos = unit @ unit.T
+        for i in range(n):
+            for j in range(i + 1, n):
+                (same if membership[i] == membership[j] else cross).append(cos[i, j])
+    return float(np.mean(same)), float(np.mean(cross))

@@ -41,32 +41,28 @@ class OracleResult:
         return f"[{status}] {self.family}/{self.name}: observed={self.observed:.3e} tolerance={self.tolerance:.1e}"
 
 
-def _random_net(rng: np.random.Generator, n: int, density: float = 0.35) -> RoadNetwork:
+def random_net(rng: np.random.Generator, n: int, density: float = 0.35) -> RoadNetwork:
     edges = [(u, v, float(rng.uniform(0.5, 2.0)))
              for u in range(n) for v in range(n)
              if u != v and rng.random() < density]
     return RoadNetwork(n, tuple(edges))
 
 
-def _live_path_model(rng: np.random.Generator, n: int = 4, lookback: int = 6,
-                     horizon: int = 3) -> tuple[Forecaster, np.ndarray, np.ndarray]:
-    """A small model at a point where every activation path is live.
+def live_path_point(model: Forecaster, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Move `model` to a point where every activation path is live; return (x, y).
 
-    Strictly positive parameters and inputs keep all relu units on, and
-    targets offset below the prediction keep the MAE residuals away from
-    their kink, so central differences see a smooth function.  This
-    mirrors the kink-avoidance rule used for the per-op checks.
+    Strictly positive parameters (|p| + 0.01) and inputs (U(0.5, 1.5)) keep
+    all relu units on, and targets offset below the prediction keep the MAE
+    residuals away from their kink, so central differences see a smooth
+    function.  This mirrors the kink-avoidance rule used for the per-op
+    checks.
     """
-    net = _random_net(rng, n)
-    cfg = ModelConfig(n_nodes=n, n_features=1, lookback=lookback, horizon=horizon,
-                      width=6, n_hyperedges=3, windows=(1, 2), encoder_layers=1,
-                      scale_iters=1)
-    model = Forecaster(cfg, net, seed=int(rng.integers(1 << 30)))
+    cfg = model.cfg
     for _, t in model.named_parameters():
         t.data = np.abs(t.data) + 0.01
-    x = rng.uniform(0.5, 1.5, size=(lookback, n, 1))
-    y = model.predict(x) - rng.uniform(0.5, 1.5, size=(horizon, n))
-    return model, x, y
+    x = rng.uniform(0.5, 1.5, size=(cfg.lookback, cfg.n_nodes, cfg.n_features))
+    y = model.predict(x) - rng.uniform(0.5, 1.5, size=(cfg.horizon, cfg.n_nodes))
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +91,13 @@ def check_op_gradients(seed: int) -> list[OracleResult]:
         return v
 
     # Positive states and weights keep every relu inside the fused ops on,
-    # as in _live_path_model.
+    # as in live_path_point.
     def live(*shape):
         return rng.uniform(0.5, 1.5, size=shape)
 
     # Constants are materialized up front: f must be a deterministic
     # function of the checked tensor alone.
-    graph = temporal_graph(_random_net(rng, 3), 2)
+    graph = temporal_graph(random_net(rng, 3), 2)
     b, c62, c63, d63, e63 = (Tensor(rng.normal(size=s)) for s in [(4, 3), (6, 2), (6, 3), (6, 3), (6, 3)])
     w1, w2, w3, factor, relations = (Tensor(live(*s)) for s in [(3, 3)] * 3 + [(3, 2), (2, 2)])
     cases = {
@@ -156,8 +152,11 @@ def model_gradient_errors(model: Forecaster, x: np.ndarray, y: np.ndarray,
 
 def check_model_gradient(seed: int, corrupt_grad: str | None = None) -> list[OracleResult]:
     rng = np.random.default_rng(seed)
-    model, x, y = _live_path_model(rng)
-    errors = model_gradient_errors(model, x, y)
+    n = 4
+    cfg = ModelConfig(n_nodes=n, n_features=1, lookback=6, horizon=3, width=6, n_hyperedges=3,
+                      windows=(1, 2), encoder_layers=1, scale_iters=1)
+    model = Forecaster(cfg, random_net(rng, n), seed=int(rng.integers(1 << 30)))
+    errors = model_gradient_errors(model, *live_path_point(model, rng))
     if corrupt_grad is not None:
         for name in errors:
             if name.endswith(corrupt_grad):
@@ -187,8 +186,8 @@ def check_interaction_factorization(seed: int, n_instances: int = 100) -> list[O
     for _ in range(n_instances):
         n = int(rng.integers(2, 6))
         t = int(rng.integers(1, 4))
-        d = int(rng.integers(2, 5))
-        g = temporal_graph(_random_net(rng, n, density=0.5), t)
+        d = int(rng.integers(2, 6))
+        g = temporal_graph(random_net(rng, n, density=0.5), t)
         h = rng.normal(size=(n * t, d))
         w1 = rng.normal(size=(d, d))
         w2 = rng.normal(size=(d, d))
@@ -206,7 +205,7 @@ def check_temporal_graph(seed: int, n_graphs: int = 25) -> list[OracleResult]:
     for _ in range(n_graphs):
         n = int(rng.integers(1, 30))
         t = int(rng.integers(1, 13))
-        net = _random_net(rng, n, density=0.2)
+        net = random_net(rng, n, density=0.2)
         g = temporal_graph(net, t)
         sums = np.asarray(g.normalized.sum(axis=1)).ravel()
         worst_row = max(worst_row, float(np.max(np.abs(sums - 1.0))))
@@ -234,18 +233,19 @@ def permuted_copy(model: Forecaster, perm: np.ndarray) -> Forecaster:
 def check_permutation(seed: int) -> list[OracleResult]:
     rng = np.random.default_rng(seed)
     n = 5
-    net = _random_net(rng, n)
-    cfg = ModelConfig(n_nodes=n, n_features=2, lookback=6, horizon=3, width=6,
-                      n_hyperedges=3, windows=(1, 3), encoder_layers=2, scale_iters=2)
-    model = Forecaster(cfg, net, seed=seed)
-    x = rng.normal(size=(6, n, 2))
-    perm = rng.permutation(n)
-    twin = permuted_copy(model, perm)
-    x_perm = np.empty_like(x)
-    x_perm[:, perm, :] = x
-    base = model.predict(x)
-    moved = twin.predict(x_perm)
-    return [OracleResult("permutation", "full_forward", 1e-9, float(np.max(np.abs(moved[:, perm] - base))))]
+    worst = 0.0
+    for windows in ((1, 3), (1, 2, 3)):
+        net = random_net(rng, n)
+        cfg = ModelConfig(n_nodes=n, n_features=2, lookback=6, horizon=3, width=6,
+                          n_hyperedges=3, windows=windows, encoder_layers=2, scale_iters=2)
+        model = Forecaster(cfg, net, seed=seed)
+        x = rng.normal(size=(6, n, 2))
+        perm = rng.permutation(n)
+        x_perm = np.empty_like(x)
+        x_perm[:, perm, :] = x
+        moved = permuted_copy(model, perm).predict(x_perm)
+        worst = max(worst, float(np.max(np.abs(moved[:, perm] - model.predict(x)))))
+    return [OracleResult("permutation", "full_forward", 1e-9, worst)]
 
 
 def check_pooling(seed: int) -> list[OracleResult]:
@@ -280,9 +280,11 @@ def check_fusion(seed: int) -> list[OracleResult]:
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=7)
     w = ad.softmax_vec(Tensor(logits)).data
-    err_sum = abs(float(w.sum()) - 1.0)
     shifted = ad.softmax_vec(Tensor(logits + 3.7)).data
     err_shift = float(np.max(np.abs(shifted - w)))
+    # the sum also over 1, 2 and 6 fused scales (the default config fuses 6)
+    sums = [w.sum()] + [ad.softmax_vec(Tensor(rng.normal(size=k) * 2)).data.sum() for k in (1, 2, 6)]
+    err_sum = max(abs(float(total) - 1.0) for total in sums)
     return [
         OracleResult("fusion", "weights_sum_to_one", 1e-12, err_sum),
         OracleResult("fusion", "shift_invariance", 1e-12, err_shift),

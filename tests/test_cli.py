@@ -231,10 +231,10 @@ def test_verify_passes_and_reports_families(capsys):
     rc = main(["verify", "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 0
-    families = {line.split("]")[1].split("/")[0].strip() for line in out.splitlines()
-                if line.startswith("[")}
-    assert len(families) >= 6
-    assert "0 failures" in out
+    lines = [line for line in out.splitlines() if line.startswith("[")]
+    families = {line.split("]")[1].split("/")[0].strip() for line in lines}
+    assert (len(lines), len(families)) == (25, 8)
+    assert "25 oracles in 8 families, 0 failures" in out
 
 
 def test_verify_corrupt_hook_fails_only_gradient_family(capsys):
@@ -349,4 +349,6 @@ def test_community_forecast_script_runs(tmp_path):
                    timeout=120)
     results = json.loads((tmp_path / "results.json").read_text())
     assert np.isfinite(results["model"]["mae"])
+    assert np.isfinite(results["incidence_same_community_cosine"])
+    assert np.isfinite(results["incidence_cross_community_cosine"])
     assert len((tmp_path / "incidence.csv").read_text().splitlines()) == 1 + 12 * 6 * 4

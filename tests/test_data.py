@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ def test_zscore_round_trip():
     rng = np.random.default_rng(0)
     values = rng.normal(loc=50, scale=9, size=(30, 4, 2))
     stats = NormStats(mean=values.mean(axis=(0, 1)), std=values.std(axis=(0, 1)))
-    back = stats.invert(stats.apply(values))
-    assert np.max(np.abs(back - values)) < 1e-9
+    back = stats.invert_flow(stats.apply(values)[..., 0])
+    assert np.max(np.abs(back - values[..., 0])) < 1e-9
 
 
 def test_zscore_hand_case():
@@ -153,11 +154,12 @@ def test_ingest_rejects_edge_outside_range(tmp_path):
 def test_ingest_rejects_non_finite_with_index(tmp_path):
     values = np.zeros((3, 2, 1), dtype="<f4")
     values[2, 1, 0] = np.nan
-    (tmp_path / "signals.bin").write_bytes(values.tobytes())
+    path = tmp_path / "signals.bin"
+    path.write_bytes(values.tobytes())
     (tmp_path / "signals.json").write_text('{"T": 3, "N": 2, "F": 1}')
     (tmp_path / "edges.csv").write_text("from,to,weight\n")
-    with pytest.raises(ValueError, match=r"\(2, 1, 0\)"):
-        ingest(tmp_path / "signals.bin", tmp_path / "edges.csv")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + r".*\(t, node, feature\) = \(2, 1, 0\)"):
+        ingest(path, tmp_path / "edges.csv")
 
 
 def test_membership_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from hyperflow.autodiff import Tensor
 from hyperflow.encoder import build_node_features, graph_convolution
 from hyperflow.graphs import RoadNetwork, temporal_graph
 from hyperflow.model import ModelConfig, init_params
+from hyperflow.oracles import random_net
 
 
 def encoder_params(n, f, t, d, layers, rng=None):
@@ -89,16 +90,14 @@ def test_zero_state_is_fixed_point():
 def test_permutation_equivariance():
     rng = np.random.default_rng(5)
     n, t, d, f = 5, 3, 4, 2
-    edges = tuple((u, v, float(rng.uniform(0.5, 2.0)))
-                  for u in range(n) for v in range(n) if u != v and rng.random() < 0.4)
-    net = RoadNetwork(n, edges)
+    net = random_net(rng, n, density=0.4)
     p = encoder_params(n, f, t, d, 2, rng)
     x = rng.normal(size=(t, n, f))
 
     out = convolve(features(x, p), temporal_graph(net, t), p).data
 
     perm = rng.permutation(n)
-    net_p = RoadNetwork(n, tuple((int(perm[u]), int(perm[v]), w) for u, v, w in edges))
+    net_p = RoadNetwork(n, tuple((int(perm[u]), int(perm[v]), w) for u, v, w in net.edges))
     p_perm = dict(p, **{"encoder.spatial": Tensor(p["encoder.spatial"].data[np.argsort(perm)])})
     x_p = np.empty_like(x)
     x_p[:, perm, :] = x

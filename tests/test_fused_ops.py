@@ -17,10 +17,11 @@ import pytest
 import hyperflow.autodiff as ad
 from hyperflow.autodiff import Tape, Tensor
 from hyperflow.encoder import encoder_layer
-from hyperflow.graphs import RoadNetwork, temporal_graph
+from hyperflow.graphs import temporal_graph
 from hyperflow.hyperedges import hypergraph_layer
 from hyperflow.interaction import interaction_block
 from hyperflow.model import average
+from hyperflow.oracles import random_net
 from reference_ops import add, hadamard, relu, scale, sparse_matmul, sum_all
 
 N, T, D, I, B = 4, 3, 3, 2, 3
@@ -47,9 +48,7 @@ def primitive_average(a, b):
 
 
 def random_graph(rng):
-    edges = tuple((u, v, float(rng.uniform(0.5, 2.0)))
-                  for u in range(N) for v in range(N) if u != v and rng.random() < 0.5)
-    return temporal_graph(RoadNetwork(N, edges), T)
+    return temporal_graph(random_net(rng, N, density=0.5), T)
 
 
 # name -> (fused, primitive, input shapes); a graph argument, where the op

@@ -14,19 +14,13 @@ import hyperflow
 from hyperflow.autodiff import Tape, Tensor, window_max_rows
 from hyperflow.graphs import RoadNetwork
 from hyperflow.model import Forecaster, ModelConfig, forecast_head, fuse_scales
-from hyperflow.oracles import model_gradient_errors, permuted_copy
+from hyperflow.oracles import live_path_point, model_gradient_errors, random_net
 
 from reference_model import reference_forward
 
 
-def small_net(rng, n, density=0.4):
-    edges = tuple((u, v, float(rng.uniform(0.5, 2.0)))
-                  for u in range(n) for v in range(n) if u != v and rng.random() < density)
-    return RoadNetwork(n, edges)
-
-
 def tiny_model(rng, n=3, lookback=4, horizon=2, width=4, features=1):
-    net = small_net(rng, n)
+    net = random_net(rng, n, density=0.4)
     cfg = ModelConfig(n_nodes=n, n_features=features, lookback=lookback, horizon=horizon,
                       width=width, n_hyperedges=2, windows=(1, 2), encoder_layers=1,
                       scale_iters=1)
@@ -152,7 +146,7 @@ def test_forward_is_deterministic_and_shaped():
 ], ids=["skill", "cli_default_n20"])
 def test_forward_batch_matches_per_window(n, widths):
     rng = np.random.default_rng(15)
-    model = Forecaster(ModelConfig(n_nodes=n, **widths), small_net(rng, n, density=0.15), seed=4)
+    model = Forecaster(ModelConfig(n_nodes=n, **widths), random_net(rng, n, density=0.15), seed=4)
     xs = rng.normal(size=(4, 12, n, 1))
     batched = model.predict(xs)
     single = np.stack([model.predict(x) for x in xs])
@@ -173,7 +167,7 @@ def test_forward_validates_input_shape():
 def test_forward_matches_straight_line_reference():
     # the whole-model oracle: independent transcription, explicit pair sums
     rng = np.random.default_rng(8)
-    net = small_net(rng, 3, density=0.6)
+    net = random_net(rng, 3, density=0.6)
     cfg = ModelConfig(n_nodes=3, n_features=1, lookback=4, horizon=2, width=4,
                       n_hyperedges=2, windows=(1, 2), encoder_layers=1, scale_iters=1)
     model = Forecaster(cfg, net, seed=99)
@@ -185,28 +179,10 @@ def test_forward_matches_straight_line_reference():
     np.testing.assert_allclose(model.predict(x), ref, atol=1e-9)
 
 
-def test_forward_node_permutation_equivariance():
-    rng = np.random.default_rng(9)
-    n = 5
-    net = small_net(rng, n)
-    cfg = ModelConfig(n_nodes=n, n_features=2, lookback=6, horizon=3, width=6,
-                      n_hyperedges=3, windows=(1, 2, 3), encoder_layers=2, scale_iters=2)
-    model = Forecaster(cfg, net, seed=10)
-    x = rng.normal(size=(6, n, 2))
-    perm = rng.permutation(n)
-    twin = permuted_copy(model, perm)
-    x_perm = np.empty_like(x)
-    x_perm[:, perm, :] = x
-    np.testing.assert_allclose(twin.predict(x_perm)[:, perm], model.predict(x), atol=1e-9)
-
-
 def test_forward_gradient_spot_check():
     rng = np.random.default_rng(10)
     model = tiny_model(rng)
-    for _, t in model.named_parameters():
-        t.data = np.abs(t.data) + 0.01
-    x = rng.uniform(0.5, 1.5, size=(4, 3, 1))
-    y = model.predict(x) - rng.uniform(0.5, 1.5, size=(2, 3))
+    x, y = live_path_point(model, rng)
     names = ("encoder.spatial", "scale2.hyper.factor", "scale1.inter.pair_left", "readout_w")
     errors = model_gradient_errors(model, x, y, names)
     assert all(err < 1e-4 for err in errors.values()), errors
@@ -219,7 +195,7 @@ def test_predict_frees_intermediates_as_it_goes():
     # its vjp closure, not in tape node values.
     rng = np.random.default_rng(14)
     model = Forecaster(ModelConfig(n_nodes=60, width=32, n_hyperedges=16),
-                       small_net(rng, 60, density=0.1), seed=3)
+                       random_net(rng, 60, density=0.1), seed=3)
     x = rng.normal(size=(12, 60, 1))
     model.predict(x)
     tracemalloc.start()

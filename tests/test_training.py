@@ -99,6 +99,13 @@ def test_split_is_chronological():
     assert test == list(range(16, 20))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(5, 2000))
+def test_split_gives_every_split_a_window(n):
+    # why eval and predict need no empty-split check: 2n//10 >= 1 for n >= 5
+    assert all(len(part) >= 1 for part in split_dataset(list(range(n))))
+
+
 def test_split_too_few_windows():
     with pytest.raises(ValueError, match="at least 5"):
         split_dataset([1, 2, 3, 4])
