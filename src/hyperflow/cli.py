@@ -31,6 +31,10 @@ from .training import TrainConfig, evaluate, fit, predict_batch, write_history_c
 _CLEAN_ERRORS = (ValueError, KeyError, OSError, RuntimeError, NumericError)
 # Thread-count variables of the BLAS builds numpy may load; `bench` pins them to 1.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The sizes `bench` times: T over t_grid at base_n sensors, then N over n_grid
+# at t_fixed steps, with edges_per_node random out-edges per sensor.
+BENCH_GRID = {"t_grid": (6, 12, 24, 48), "n_grid": (50, 100, 200, 400), "base_n": 80, "t_fixed": 12,
+              "edges_per_node": 4}
 
 
 def _parse_windows(text: str) -> tuple[int, ...]:
@@ -84,13 +88,7 @@ def _validate_flags_early(args) -> None:
 
 
 def _split_samples(prepared, split: str):
-    if split == "train":
-        return prepared.train
-    if split == "val":
-        return prepared.val
-    if split == "test":
-        return prepared.test
-    return prepared.all_samples
+    return getattr(prepared, "all_samples" if split == "all" else split)
 
 
 def _load_model(checkpoint_path) -> tuple[Forecaster, NormStats, dict]:
@@ -213,7 +211,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verification(seed=args.seed, corrupt_grad=args.corrupt_grad)
+    results = run_verification(seed=args.seed)
     families = {r.family for r in results}
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -292,8 +290,8 @@ def _run_bench_child(spec: dict) -> dict:
 
 
 def cmd_bench(args) -> int:
-    spec = {name: getattr(args, name) for name in
-            ("d", "t_grid", "n_grid", "base_n", "t_fixed", "edges_per_node", "repeats", "seed")}
+    # Built here, not in the child, so the child times the grid this process sees.
+    spec = {**BENCH_GRID, "d": args.d, "repeats": args.repeats, "seed": args.seed}
     measured = _run_bench_child(spec)
     rows = measured["rows"]
 
@@ -302,8 +300,8 @@ def cmd_bench(args) -> int:
         for n, t, nnz, sec in rows:
             fh.write(f"{n},{t},{nnz},{sec!r}\n")
 
-    t_rows = rows[:len(args.t_grid)]
-    n_rows = rows[len(args.t_grid):]
+    t_rows = rows[:len(spec["t_grid"])]
+    n_rows = rows[len(spec["t_grid"]):]
     slope_t = float(np.polyfit(np.log([r[1] for r in t_rows]), np.log([r[3] for r in t_rows]), 1)[0])
     slope_nnz = float(np.polyfit(np.log([r[2] for r in n_rows]), np.log([r[3] for r in n_rows]), 1)[0])
 
@@ -353,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in (
         ("eval", cmd_eval, "report MAE/RMSE/MAPE of a checkpoint on a data split"),
         ("predict", cmd_predict, "write de-normalized predictions as CSV"),
+        ("export-incidence", cmd_export_incidence, "dump the learned incidence matrix for one window"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", required=True)
@@ -361,6 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
         if name == "predict":
             p.add_argument("--out", required=True, help="prediction CSV path")
+        if name == "export-incidence":
+            p.add_argument("--out", required=True, help="incidence CSV path")
+            p.add_argument("--window-index", type=int, default=0)
         p.set_defaults(func=func)
 
     p = sub.add_parser("synth", help="generate community-structured synthetic traffic data")
@@ -375,35 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every property oracle and report pass/fail")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-grad", default=None, help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "bench", help="time forward passes over size grids and fit scaling slopes",
         description="Time forward passes over size grids and fit log-log scaling slopes. "
+                    "The grid is fixed: T in {t_grid} at N={base_n}, then N in {n_grid} at "
+                    "T={t_fixed}, with {edges_per_node} random out-edges per sensor. "
                     "The timings come from a fresh Python process with one BLAS thread, so "
                     "neither the caller's heap history nor BLAS splitting only the larger "
-                    "products across cores bends the slopes.")
+                    "products across cores bends the slopes.".format(**BENCH_GRID))
     p.add_argument("--out", required=True, help="timing CSV path")
     p.add_argument("--d", type=int, default=64)
-    p.add_argument("--t-grid", type=_parse_windows, default=(6, 12, 24, 48))
-    p.add_argument("--n-grid", type=_parse_windows, default=(50, 100, 200, 400))
-    p.add_argument("--base-n", type=int, default=80)
-    p.add_argument("--t-fixed", type=int, default=12)
-    p.add_argument("--edges-per-node", type=int, default=4)
     p.add_argument("--repeats", type=int, default=3,
                    help="timed calls per grid point after one warm-up; the minimum is kept (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("export-incidence", help="dump the learned incidence matrix for one window")
-    p.add_argument("--data", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True, help="incidence CSV path")
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-    p.add_argument("--window-index", type=int, default=0)
-    p.set_defaults(func=cmd_export_incidence)
 
     return parser
 

@@ -78,9 +78,8 @@ def train_stats(signal: SignalTensor, lookback: int, horizon: int) -> NormStats:
     n_windows = signal.n_steps - lookback - horizon + 1
     if n_windows < 1:
         raise ValueError(f"series of {signal.n_steps} steps is too short for {lookback}+{horizon} windows")
-    n_train = max((n_windows * 6) // 10, 1)
-    coverage = n_train - 1 + lookback + horizon
-    chunk = signal.values[:coverage]
+    last_train_start = split_dataset(range(n_windows))[0][-1]
+    chunk = signal.values[:last_train_start + lookback + horizon]
     return NormStats(mean=chunk.mean(axis=(0, 1)), std=chunk.std(axis=(0, 1)))
 
 

@@ -66,18 +66,19 @@ class RoadNetwork:
 
 @dataclass
 class TemporalGraph:
-    """Time expansion of a road network over t_steps observations, with its
-    row-normalized adjacency and that matrix's transpose."""
+    """Row-normalized time expansion of a road network.
 
-    n_road_nodes: int
-    t_steps: int
-    adjacency: sp.csr_matrix
+    `normalized` is CSR with ascending column indices in each row;
+    `normalized_t` is its transpose as a CSC view over the same arrays, made
+    once by `temporal_graph` because a fresh `.T` costs a third of a product.
+    """
+
     normalized: sp.csr_matrix
-    normalized_t: sp.csr_matrix
+    normalized_t: sp.csc_matrix
 
     @property
     def n_nodes(self) -> int:
-        return self.n_road_nodes * self.t_steps
+        return self.normalized.shape[0]
 
 
 def temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
@@ -85,9 +86,10 @@ def temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
 
     entry((t,i) -> (t',j)) = A_ij when t' = t and i != j, 1 when i = j and
     t' in {t, t+1}, else 0.  A diagonal entry of A is superseded by the unit
-    self-loop, so it contributes no extra nonzero.  The normalized matrix
-    divides each row by its sum, so every observation's incoming weights
-    sum to 1.
+    self-loop, so it contributes no extra nonzero, and a zero weight is
+    dropped, so every stored entry is positive.  Each row is then divided
+    by its sum, so every observation's incoming weights sum to 1; the unit
+    self-loop keeps every sum positive.
     """
     if t_steps < 1:
         raise ValueError(f"temporal graph needs t_steps >= 1, got {t_steps}")
@@ -103,12 +105,8 @@ def temporal_graph(net: RoadNetwork, t_steps: int) -> TemporalGraph:
     vals = np.concatenate([np.tile(w[keep], t_steps), np.ones(total + len(fwd))])
     adj = sp.csr_matrix((vals, (rows, cols)), shape=(total, total))
     sums = adj @ np.ones(total)  # each row in ascending column order
-    if np.any(sums <= 0):
-        raise RuntimeError("temporal graph has an empty row; self-loops should make this impossible")
-    norm = adj.copy()
-    norm.data *= np.repeat(1.0 / sums, np.diff(adj.indptr))
-    return TemporalGraph(n_road_nodes=n, t_steps=t_steps, adjacency=adj,
-                         normalized=norm, normalized_t=norm.T.tocsr())
+    adj.data *= np.repeat(1.0 / sums, np.diff(adj.indptr))
+    return TemporalGraph(adj, adj.T)
 
 
 _EDGE_ROW = np.dtype([("from", np.int64), ("to", np.int64), ("weight", np.float64)])

@@ -11,6 +11,7 @@ import pytest
 
 import hyperflow
 import hyperflow.cli
+import hyperflow.oracles
 from hyperflow.checkpoint import load_checkpoint, save_checkpoint
 from hyperflow.cli import main
 from hyperflow.data import NormStats, ingest, prepare_dataset
@@ -237,8 +238,15 @@ def test_verify_passes_and_reports_families(capsys):
     assert "25 oracles in 8 families, 0 failures" in out
 
 
-def test_verify_corrupt_hook_fails_only_gradient_family(capsys):
-    rc = main(["verify", "--seed", "0", "--corrupt-grad", "pair_right"])
+def test_verify_corrupt_hook_fails_only_gradient_family(monkeypatch, capsys):
+    exact = hyperflow.oracles.model_gradient_errors
+
+    def corrupted(*args, **kwargs):  # simulate a wrong vjp for pair_right
+        return {name: err + 1.0 if name.endswith("pair_right") else err
+                for name, err in exact(*args, **kwargs).items()}
+
+    monkeypatch.setattr(hyperflow.oracles, "model_gradient_errors", corrupted)
+    rc = main(["verify", "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 1
     failing = [line for line in out.splitlines() if line.startswith("[FAIL]")]
@@ -302,10 +310,24 @@ def test_checkpoint_commands_take_no_seed(command, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-def test_bench_writes_csv_and_slopes(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["bench", "--out", "b.csv", "--t-grid", "6,12"],
+                                  ["verify", "--corrupt-grad", "x"]])
+def test_removed_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def small_bench_grid(monkeypatch, t_grid=(6, 12)):
+    monkeypatch.setattr(hyperflow.cli, "BENCH_GRID",
+                        {**hyperflow.cli.BENCH_GRID, "t_grid": t_grid, "n_grid": (20, 40), "base_n": 20})
+
+
+def test_bench_writes_csv_and_slopes(tmp_path, monkeypatch, capsys):
     out = tmp_path / "bench.csv"
-    rc = main(["bench", "--out", str(out), "--d", "8", "--t-grid", "6,12",
-               "--n-grid", "20,40", "--base-n", "20", "--repeats", "1", "--seed", "0"])
+    small_bench_grid(monkeypatch)
+    rc = main(["bench", "--out", str(out), "--d", "8", "--repeats", "1", "--seed", "0"])
     assert rc == 0
     text = capsys.readouterr().out
     assert "slope_t=" in text and "slope_nnz=" in text
@@ -315,10 +337,11 @@ def test_bench_writes_csv_and_slopes(tmp_path, capsys):
     assert set(rows[0]) == {"n", "t", "nnz", "seconds"}
 
 
-def test_bench_child_error_is_a_clean_error(tmp_path, capsys):
+def test_bench_child_error_is_a_clean_error(tmp_path, monkeypatch, capsys):
     # the windows 1,2,3 of the bench model do not divide a lookback of 5
-    rc = main(["bench", "--out", str(tmp_path / "bench.csv"), "--d", "8", "--t-grid", "5,10",
-               "--n-grid", "20,40", "--base-n", "20", "--repeats", "1", "--seed", "0"])
+    small_bench_grid(monkeypatch, t_grid=(5, 10))
+    rc = main(["bench", "--out", str(tmp_path / "bench.csv"), "--d", "8", "--repeats", "1",
+               "--seed", "0"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: window size 2 does not divide lookback 5" in err.splitlines()
@@ -330,9 +353,10 @@ def test_bench_leaves_caller_environment_unchanged(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    small_bench_grid(monkeypatch)
     before = dict(os.environ)
-    rc = main(["bench", "--out", str(tmp_path / "bench.csv"), "--d", "8", "--t-grid", "6,12",
-               "--n-grid", "20,40", "--base-n", "20", "--repeats", "1", "--seed", "0"])
+    rc = main(["bench", "--out", str(tmp_path / "bench.csv"), "--d", "8", "--repeats", "1",
+               "--seed", "0"])
     assert rc == 0
     assert dict(os.environ) == before
 

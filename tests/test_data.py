@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperflow.data import (
     NormStats,
@@ -74,6 +75,22 @@ def test_train_stats_ignore_future_changes():
     s2 = train_stats(SignalTensor(altered), 12, 12)
     np.testing.assert_array_equal(s1.mean, s2.mean)
     np.testing.assert_array_equal(s1.std, s2.std)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(28, 400), st.integers(0, 2 ** 31 - 1))
+def test_stats_cover_exactly_the_train_windows(n_steps, seed):
+    sig = SignalTensor(np.random.default_rng(seed).normal(size=(n_steps, 2, 2)) + 10)
+    prep = prepare_dataset(sig, 12, 12)
+    covered = sig.values[:prep.train[-1].start + 12 + 12]
+    np.testing.assert_array_equal(prep.stats.mean, covered.mean(axis=(0, 1)))
+    np.testing.assert_array_equal(prep.stats.std, covered.std(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("n_steps", [24, 25, 26, 27])  # 1 to 4 windows
+def test_prepare_rejects_fewer_than_five_windows(n_steps):
+    with pytest.raises(ValueError, match="need at least 5 windows to split"):
+        prepare_dataset(SignalTensor(np.arange(2.0 * n_steps).reshape(n_steps, 2, 1)), 12, 12)
 
 
 def test_split_never_leaks_training_into_test():

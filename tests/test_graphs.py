@@ -23,20 +23,20 @@ def random_net(rng, n, n_edges):
 
 def test_single_node_single_step_is_one_self_loop():
     g = temporal_graph(RoadNetwork(1, ()), 1)
-    assert g.adjacency.toarray().tolist() == [[1.0]]
+    assert g.normalized.toarray().tolist() == [[1.0]]
 
 
 def test_two_node_two_step_enumeration():
     # N=2, A = [[0,1],[0,0]], T=2: 2 spatial copies + 4 self-loops + 2 temporal
     g = temporal_graph(RoadNetwork(2, ((0, 1, 1.0),)), 2)
     assert g.n_nodes == 4
-    assert g.adjacency.nnz == 8
-    dense = g.adjacency.toarray()
+    assert g.normalized.nnz == 8
+    dense = g.normalized.toarray()
     expected = np.array([
-        [1.0, 1.0, 1.0, 0.0],   # (t0,n0): self, spatial to n0->n1, forward to (t1,n0)
-        [0.0, 1.0, 0.0, 1.0],   # (t0,n1): self, forward to (t1,n1)
-        [0.0, 0.0, 1.0, 1.0],   # (t1,n0): self, spatial
-        [0.0, 0.0, 0.0, 1.0],   # (t1,n1): self
+        [1 / 3, 1 / 3, 1 / 3, 0.0],  # (t0,n0): self, spatial to n0->n1, forward to (t1,n0)
+        [0.0, 0.5, 0.0, 0.5],        # (t0,n1): self, forward to (t1,n1)
+        [0.0, 0.0, 0.5, 0.5],        # (t1,n0): self, spatial
+        [0.0, 0.0, 0.0, 1.0],        # (t1,n1): self
     ])
     np.testing.assert_array_equal(dense, expected)
 
@@ -47,21 +47,20 @@ def test_pems08_sized_count():
     net = random_net(rng, 170, 295)
     g = temporal_graph(net, 12)
     assert g.n_nodes == 2040
-    assert g.adjacency.nnz == 12 * 295 + 170 * 12 + 170 * 11  # == 7450
+    assert g.normalized.nnz == 12 * 295 + 170 * 12 + 170 * 11  # == 7450
 
 
 def test_diagonal_input_edge_is_superseded_by_self_loop():
     net = RoadNetwork(2, ((0, 0, 5.0), (0, 1, 2.0)))
     g = temporal_graph(net, 1)
-    dense = g.adjacency.toarray()
-    assert dense[0, 0] == 1.0  # unit self-loop wins over A_00 = 5
-    assert dense[0, 1] == 2.0
-    assert g.adjacency.nnz == 3
+    dense = g.normalized.toarray()
+    assert dense[0].tolist() == [1 / 3, 2 / 3]  # unit self-loop wins over A_00 = 5
+    assert g.normalized.nnz == 3
 
 
 def test_zero_weight_edge_adds_no_nonzero():
     g = temporal_graph(RoadNetwork(2, ((0, 1, 0.0),)), 1)
-    assert g.adjacency.nnz == 2  # self-loops only
+    assert g.normalized.nnz == 2  # self-loops only
 
 
 def test_invalid_arguments():
@@ -148,7 +147,10 @@ def test_temporal_graph_matches_dense_reference(n, t, weights):
     edges = tuple((u, v, w) for (u, v), w in weights.items() if u < n and v < n)
     g = temporal_graph(RoadNetwork(n, edges), t)
     a = dense_adjacency(edges, n, t)
-    np.testing.assert_array_equal(g.adjacency.toarray(), a)
+    stored = np.zeros_like(a, dtype=bool)
+    stored[g.normalized.nonzero()] = True
+    np.testing.assert_array_equal(stored, a != 0)
+    assert np.all(g.normalized.data > 0)
     expected = np.zeros_like(a)
     for r in range(n * t):
         total = 0.0
@@ -159,6 +161,12 @@ def test_temporal_graph_matches_dense_reference(n, t, weights):
     np.testing.assert_array_equal(norm, expected)
     assert g.normalized.has_sorted_indices and sorted_within_rows(g.normalized)
     np.testing.assert_array_equal(g.normalized_t.toarray(), norm.T)
+
+
+def test_transpose_is_a_view_of_the_normalized_matrix():
+    g = temporal_graph(RoadNetwork(3, ((0, 1, 1.0), (0, 2, 2.0), (2, 1, 0.5))), 4)
+    np.testing.assert_array_equal(g.normalized_t.toarray(), g.normalized.toarray().T)
+    assert np.shares_memory(g.normalized_t.data, g.normalized.data)
 
 
 def test_normalize_rows():
@@ -183,7 +191,7 @@ def test_nonzero_count_formula(n, t, seed):
     n_edges = int(rng.integers(0, min(max_edges, 3 * n) + 1))
     net = random_net(rng, n, n_edges) if n_edges else RoadNetwork(n, ())
     g = temporal_graph(net, t)
-    assert g.adjacency.nnz == t * n_edges + n * t + n * (t - 1)
+    assert g.normalized.nnz == t * n_edges + n * t + n * (t - 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -194,12 +202,15 @@ def test_relabeling_permutes_blocks(n, t, seed):
     perm = rng.permutation(n)
     permuted = RoadNetwork(n, tuple((int(perm[u]), int(perm[v]), w) for u, v, w in net.edges))
 
-    g = temporal_graph(net, t).adjacency.toarray()
-    gp = temporal_graph(permuted, t).adjacency.toarray()
+    g = temporal_graph(net, t).normalized.toarray()
+    gp = temporal_graph(permuted, t).normalized.toarray()
 
     # block-consistent expansion of the node permutation across time steps
     full = np.concatenate([perm + s * n for s in range(t)])
-    np.testing.assert_array_equal(gp[np.ix_(full, full)], g)
+    moved = gp[np.ix_(full, full)]
+    np.testing.assert_array_equal(moved != 0, g != 0)
+    # relabeling reorders each row's sum, so the weights agree to rounding only
+    np.testing.assert_allclose(moved, g, rtol=1e-14, atol=0)
 
 
 def test_edge_csv_round_trip(tmp_path):
