@@ -358,9 +358,12 @@ def linear_combination(xs: Sequence[Tensor], coeffs: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Gradient verification
 
+FD_STEP = 1e-5  # central-difference step of finite_difference_check
 
-def finite_difference_check(f, theta: Tensor, h: float = 1e-5) -> float:
-    """Compare tape gradients of f against central differences at theta.
+
+def finite_difference_check(f, theta: Tensor) -> float:
+    """Compare tape gradients of f against central differences of step
+    FD_STEP at theta.
 
     f maps a tensor to a scalar loss tensor and must be deterministic.
     Returns max over coordinates of |analytic - numeric| divided by
@@ -376,11 +379,11 @@ def finite_difference_check(f, theta: Tensor, h: float = 1e-5) -> float:
     numeric = np.zeros_like(base)
     for idx in np.ndindex(*base.shape):
         bumped = base.copy()
-        bumped[idx] = base[idx] + h
+        bumped[idx] = base[idx] + FD_STEP
         up = float(f(Tensor(bumped)).data)
-        bumped[idx] = base[idx] - h
+        bumped[idx] = base[idx] - FD_STEP
         down = float(f(Tensor(bumped)).data)
-        numeric[idx] = (up - down) / (2.0 * h)
+        numeric[idx] = (up - down) / (2.0 * FD_STEP)
 
     denom = np.abs(analytic) + np.abs(numeric) + 1e-12
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -53,7 +53,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--windows", type=_parse_windows, default=(1, 2, 3, 4, 6, 12),
                    help="pooling window sizes, must divide the lookback (default 1,2,3,4,6,12)")
     p.add_argument("--lp", type=int, default=6, help="prior convolution layers (default 6)")
-    p.add_argument("--lh", type=int, default=1, help="hypergraph convolutions per block (default 1)")
     p.add_argument("--ls", type=int, default=2, help="block iterations per scale (default 2)")
     p.add_argument("--lookback", type=int, default=12, help="input steps (default 12)")
     p.add_argument("--horizon", type=int, default=12, help="predicted steps (default 12)")
@@ -63,7 +62,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=100, help="training epochs (default 100)")
     p.add_argument("--batch-size", type=int, default=32, help="minibatch size (default 32)")
     p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate (default 0.001)")
-    p.add_argument("--clip-norm", type=float, default=None, help="global gradient norm clip (off by default)")
 
 
 def _model_config_from_args(args, n_nodes: int, n_features: int) -> ModelConfig:
@@ -76,7 +74,6 @@ def _model_config_from_args(args, n_nodes: int, n_features: int) -> ModelConfig:
         n_hyperedges=args.hyperedges,
         windows=args.windows,
         encoder_layers=args.lp,
-        hyper_layers=args.lh,
         scale_iters=args.ls,
     )
 
@@ -107,8 +104,7 @@ def _load_model(checkpoint_path) -> tuple[Forecaster, NormStats, dict]:
 
 def cmd_train(args) -> int:
     _validate_flags_early(args)
-    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                            seed=args.seed, clip_norm=args.clip_norm)
+    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     signal, net = ingest(args.data, args.edges)
     # An unusable --out fails here, not after the whole fit.
     out = Path(args.out)
@@ -234,29 +230,28 @@ def _bench_model(n: int, t: int, width: int, edges_per_node: int, rng) -> tuple[
     return model, x, len(net.edges)
 
 
-def _time_forward(model: Forecaster, x: np.ndarray, repeats: int) -> float:
-    model.predict(x)  # warmup
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        model.predict(x)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _bench_measure(spec: dict) -> dict:
-    """Time every grid point and the width doubling; runs in the bench child process."""
-    rng = np.random.default_rng(spec["seed"])
-    rows = []
-    points = [(spec["base_n"], t) for t in spec["t_grid"]] + [(n, spec["t_fixed"]) for n in spec["n_grid"]]
-    for n, t in points:
-        model, x, nnz = _bench_model(n, t, spec["d"], spec["edges_per_node"], rng)
-        rows.append((n, t, nnz, _time_forward(model, x, spec["repeats"])))
+    """Time every grid point and the width doubling; runs in the bench child process.
 
-    model, x, _ = _bench_model(spec["base_n"], spec["t_fixed"], spec["d"], spec["edges_per_node"], rng)
-    small = _time_forward(model, x, spec["repeats"])
-    model, x, _ = _bench_model(spec["base_n"], spec["t_fixed"], 2 * spec["d"], spec["edges_per_node"], rng)
-    return {"rows": rows, "ratio_d": _time_forward(model, x, spec["repeats"]) / small}
+    The points are timed in turn, `repeats` passes over all of them, each
+    keeping its fastest call, so a slow or fast stretch of the machine
+    reaches every point, not just the few it would bend the slopes through.
+    """
+    rng = np.random.default_rng(spec["seed"])
+    d, base_n, t_fixed = spec["d"], spec["base_n"], spec["t_fixed"]
+    points = ([(base_n, t, d) for t in spec["t_grid"]] + [(n, t_fixed, d) for n in spec["n_grid"]]
+              + [(base_n, t_fixed, d), (base_n, t_fixed, 2 * d)])
+    built = [_bench_model(n, t, width, spec["edges_per_node"], rng) for n, t, width in points]
+    for model, x, _ in built:
+        model.predict(x)  # warmup
+    best = [float("inf")] * len(built)
+    for _ in range(spec["repeats"]):
+        for i, (model, x, _) in enumerate(built):
+            start = time.perf_counter()
+            model.predict(x)
+            best[i] = min(best[i], time.perf_counter() - start)
+    rows = [(n, t, nnz, sec) for (n, t, _), (_, _, nnz), sec in zip(points[:-2], built, best)]
+    return {"rows": rows, "ratio_d": best[-1] / best[-2]}
 
 
 def _bench_child(spec_json: str) -> int:
@@ -390,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="timing CSV path")
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--repeats", type=int, default=3,
-                   help="timed calls per grid point after one warm-up; the minimum is kept (default 3)")
+                   help="timed passes over the grid after one warm-up call per point; each point "
+                        "keeps its fastest call (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

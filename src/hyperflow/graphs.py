@@ -46,7 +46,9 @@ class RoadNetwork:
         # int() truncates toward zero, so an id in (-1, n) names a node.
         in_range = (u > -1) & (u < n) & (v > -1) & (v < n)
         u, v = (np.where(in_range, x, 0).astype(np.int64) for x in (u, v))
-        valid_weight = np.isfinite(w) & (w >= 0)
+        # A subnormal weight can round to 0 when its row is normalized, which
+        # would drop the edge from the time-expanded graph.
+        valid_weight = np.isfinite(w) & ((w == 0) | (w >= np.finfo(float).tiny))
         repeated = np.ones(len(w), dtype=bool)
         repeated[np.unique(u * n + v, return_index=True)[1]] = False
         bad = ~in_range | ~valid_weight | repeated

@@ -16,7 +16,7 @@ from .autodiff import matmul  # noqa: F401  perfbench/layertrace.py wraps matmul
 from .checkpoint import atomic_open
 
 
-def hypergraph_layer(h: Tensor, factor: Tensor, relations: Tensor,
+def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor,
                      capture: list[np.ndarray] | None = None) -> Tensor:
     """One hypergraph convolution, lam E, as one tape op.
 
@@ -26,7 +26,7 @@ def hypergraph_layer(h: Tensor, factor: Tensor, relations: Tensor,
     relations matrix U with a residual, and each node becomes the
     membership-weighted sum lam E of its hyperedge rows.  h is one window
     (R, d) or B windows (R, B, d); P and E are per window, the weights are
-    shared.  `capture` receives a copy of lam.
+    shared.  `capture` receives a copy of lam, for structure analysis.
     """
     shape = h.data.shape
     rows, d, n_edges = shape[0], shape[-1], factor.data.shape[1]
@@ -64,19 +64,7 @@ def hypergraph_layer(h: Tensor, factor: Tensor, relations: Tensor,
                if need_h else None)
         return g_h, h2.T @ g_lam2 if need_f else None, g_u
 
-    return record(to_rows(lam_w @ edges), "hypergraph_layer", (h, factor, relations), vjp)
-
-
-def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor, n_layers: int = 1,
-                     capture: list[np.ndarray] | None = None) -> Tensor:
-    """Stacked hypergraph convolutions, re-learning the incidence from the
-    evolving states at every layer.  `capture` collects the incidence
-    values for structure analysis."""
-    if n_layers < 1:
-        raise ValueError("hypergraph block needs n_layers >= 1")
-    for _ in range(n_layers):
-        h = hypergraph_layer(h, factor, relations, capture)
-    return h
+    return record(to_rows(lam_w @ edges), "hypergraph_block", (h, factor, relations), vjp)
 
 
 def write_incidence_csv(incidence: np.ndarray, t_steps: int, n_nodes: int, path) -> None:

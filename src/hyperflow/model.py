@@ -50,13 +50,12 @@ class ModelConfig:
     n_hyperedges: int = 32
     windows: tuple[int, ...] = (1, 2, 3, 4, 6, 12)
     encoder_layers: int = 6
-    hyper_layers: int = 1
     scale_iters: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
         for name in ("n_nodes", "n_features", "lookback", "horizon", "width",
-                     "n_hyperedges", "encoder_layers", "hyper_layers", "scale_iters"):
+                     "n_hyperedges", "encoder_layers", "scale_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.windows:
@@ -73,6 +72,16 @@ class ModelConfig:
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
         d = json.loads(text)
+        # Checkpoints written before the hypergraph block lost its layer
+        # count store "hyper_layers": 1; a stack of layers is gone.
+        legacy = d.pop("hyper_layers", 1)
+        if legacy != 1:
+            raise ValueError(f"checkpoint model has hyper_layers={legacy}; only 1 is supported")
+        fields = set(cls.__dataclass_fields__)
+        problems = ([f"unknown field {k!r}" for k in sorted(set(d) - fields)]
+                    + [f"missing field {k!r}" for k in sorted(fields - set(d))])
+        if problems:
+            raise ValueError(f"checkpoint model config: {', '.join(problems)}")
         d["windows"] = tuple(d["windows"])
         return cls(**d)
 
@@ -138,12 +147,12 @@ def average(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mixed_layer(delta: Tensor, graph: TemporalGraph, params: dict[str, Tensor], eps: int,
-                hyper_layers: int, capture: list[np.ndarray] | None = None) -> Tensor:
+                capture: list[np.ndarray] | None = None) -> Tensor:
     """One iteration at window size eps: average of the hypergraph and
     interaction block outputs, with that scale's weights from `params`."""
     s = f"scale{eps}."
     f = hypergraph_block(delta, params[s + "hyper.factor"], params[s + "hyper.relations"],
-                         hyper_layers, capture=capture)
+                         capture=capture)
     r = interaction_block(delta, graph, params[s + "inter.pair_left"], params[s + "inter.pair_right"],
                           params[s + "inter.through"])
     return average(f, r)
@@ -201,8 +210,7 @@ class Forecaster:
                 sink = capture.setdefault("incidence", {}).setdefault(eps, [])
             delta = window_max_rows(h, eps, cfg.lookback, cfg.n_nodes)
             for _ in range(cfg.scale_iters):
-                delta = mixed_layer(delta, self.scale_graphs[eps], p, eps, cfg.hyper_layers,
-                                    capture=sink)
+                delta = mixed_layer(delta, self.scale_graphs[eps], p, eps, capture=sink)
             per_scale.append(mean_over_time(delta, steps, cfg.n_nodes))
 
         fused = fuse_scales(per_scale, p["fusion_logits"])

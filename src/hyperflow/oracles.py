@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
 from .encoder import encoder_layer
 from .graphs import RoadNetwork, temporal_graph
-from .hyperedges import hypergraph_layer
+from .hyperedges import hypergraph_block
 from .interaction import interaction_block
 from .model import Forecaster, ModelConfig, average
 from .training import Adam, mae_loss
@@ -115,7 +115,7 @@ def check_op_gradients(seed: int) -> list[OracleResult]:
         "linear_combination": (lambda p: ad.linear_combination([d63, ad.add(e63, p), c63], p),
                                rng.normal(size=(3,))),
         "encoder_layer": (lambda p: encoder_layer(p, graph, w1), live(6, 3)),
-        "hypergraph_layer": (lambda p: hypergraph_layer(p, factor, relations), live(6, 3)),
+        "hypergraph_block": (lambda p: hypergraph_block(p, factor, relations), live(6, 3)),
         "interaction_block": (lambda p: interaction_block(p, graph, w1, w2, w3), live(6, 3)),
         "average": (lambda p: average(p, c63), live(6, 3)),
     }

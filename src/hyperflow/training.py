@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NumericError, ShapeError, Tape, Tensor, record, tracked
 from .checkpoint import atomic_open
+
+# Adam's decay rates and denominator offset, the usual defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -17,13 +23,12 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
-    clip_norm: float | None = None
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0, batch_size >= 1")
-        if self.lr < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,12 @@ def windows_per_chunk(cfg) -> int:
     return max(1, 2048 // (cfg.lookback * cfg.n_nodes))
 
 
-def evaluate(y_pred: np.ndarray, y_true: np.ndarray, mask_threshold: float = 0.0) -> MetricReport:
+def evaluate(y_pred: np.ndarray, y_true: np.ndarray) -> MetricReport:
     """Standard forecasting metrics on de-normalized values.
 
-    MAPE averages |err|/|y| only over targets with |y| > mask_threshold
-    (zero-flow readings are excluded); with no unmasked target it is None
-    rather than a misleading 0.
+    MAPE averages |err|/|y| only over nonzero targets (zero-flow readings
+    are excluded); with no nonzero target it is None rather than a
+    misleading 0.
     """
     y_pred = np.asarray(y_pred, dtype=float)
     y_true = np.asarray(y_true, dtype=float)
@@ -84,7 +89,7 @@ def evaluate(y_pred: np.ndarray, y_true: np.ndarray, mask_threshold: float = 0.0
     err = y_pred - y_true
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err ** 2)))
-    mask = np.abs(y_true) > mask_threshold
+    mask = np.abs(y_true) > 0.0
     mape = float(np.mean(np.abs(err[mask]) / np.abs(y_true[mask])) * 100.0) if mask.any() else None
     return MetricReport(mae=mae, rmse=rmse, mape=mape)
 
@@ -116,13 +121,9 @@ def ha_baseline(window_flow: np.ndarray, horizon: int) -> np.ndarray:
 class Adam:
     """Adam with bias correction, matching the standard update rule."""
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float):
         self.params = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -131,26 +132,17 @@ class Adam:
         for _, p in self.params:
             p.grad = None
 
-    def step(self, grad_scale: float = 1.0, clip_norm: float | None = None) -> None:
-        grads = {}
-        for name, p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            grads[name] = g * grad_scale
-        if clip_norm is not None:
-            total = float(np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values())))
-            if total > clip_norm:
-                factor = clip_norm / total
-                grads = {name: g * factor for name, g in grads.items()}
+    def step(self, grad_scale: float = 1.0) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params:
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g ** 2
+            g = (p.grad if p.grad is not None else np.zeros_like(p.data)) * grad_scale
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g ** 2
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -211,7 +203,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
                 raise RuntimeError(
                     f"non-finite value at epoch {epoch}, batch {b0 // cfg.batch_size}: {err}"
                 ) from err
-            opt.step(grad_scale=1.0 / len(batch), clip_norm=cfg.clip_norm)
+            opt.step(grad_scale=1.0 / len(batch))
             result.steps += 1
             epoch_trues.extend(s.target for s in batch)
 

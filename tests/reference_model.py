@@ -34,7 +34,8 @@ def dense_normalized_adjacency(edges, n, t_steps):
 
 def reference_forward(x, edges, n, cfg, params):
     """cfg: dict with lookback, horizon, width, n_hyperedges, windows,
-    encoder_layers, hyper_layers, scale_iters.  params: name -> ndarray."""
+    encoder_layers, scale_iters; other keys are ignored.  params: name ->
+    ndarray."""
     t_steps = cfg["lookback"]
     d = cfg["width"]
 
@@ -67,12 +68,10 @@ def reference_forward(x, edges, n, cfg, params):
         w3 = params[f"scale{eps}.inter.through"]
 
         for _ in range(cfg["scale_iters"]):
-            hyper = delta
-            for _ in range(cfg["hyper_layers"]):
-                lam = hyper @ w_fac
-                pooled = lam.T @ hyper
-                edge_emb = np.maximum(w_rel @ pooled, 0.0) + pooled
-                hyper = lam @ edge_emb
+            lam = delta @ w_fac
+            pooled = lam.T @ delta
+            edge_emb = np.maximum(w_rel @ pooled, 0.0) + pooled
+            hyper = lam @ edge_emb
 
             hw1 = delta @ w1
             hw2 = delta @ w2

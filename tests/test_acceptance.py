@@ -71,7 +71,7 @@ def test_criterion_3_whole_model_straight_line():
     x = rng.normal(size=(4, 3, 1))
     ref = reference_forward(x, edges, 3, {
         "lookback": 4, "horizon": 2, "width": 4, "n_hyperedges": 2,
-        "windows": (1, 2), "encoder_layers": 1, "hyper_layers": 1, "scale_iters": 1,
+        "windows": (1, 2), "encoder_layers": 1, "scale_iters": 1,
     }, model.state())
     dev = float(np.max(np.abs(model.predict(x) - ref)))
     report(3, "whole-model straight-line oracle", dev < 1e-9, f"max deviation {dev:.3e} < 1e-9")

@@ -12,7 +12,7 @@ import hyperflow.autodiff as ad
 from hyperflow.autodiff import NumericError, ShapeError, Tape, Tensor, finite_difference_check
 from hyperflow.encoder import build_node_features, encoder_layer
 from hyperflow.graphs import RoadNetwork, temporal_graph
-from hyperflow.hyperedges import hypergraph_layer
+from hyperflow.hyperedges import hypergraph_block
 from hyperflow.interaction import interaction_block
 from hyperflow.model import Forecaster, ModelConfig, average
 from hyperflow.oracles import check_op_gradients
@@ -211,7 +211,7 @@ def test_untaped_ops_record_no_graph():
         ad.matmul(x, w), ad.add(x, v), ad.transpose(x), ad.concat_cols(x, x), ad.slice_rows(x, 1, 3),
         ad.window_max_rows(x, 1, 3, 2), ad.window_max_rows(x, 3, 3, 2),
         ad.mean_over_time(x, 3, 2), ad.softmax_vec(v), ad.linear_combination([x, x], v),
-        encoder_layer(x, graph, w), hypergraph_layer(x, w, w), interaction_block(x, graph, w, w, w),
+        encoder_layer(x, graph, w), hypergraph_block(x, w, w), interaction_block(x, graph, w, w, w),
         average(x, x), build_node_features(np.ones((3, 2, 2)), w, w, ad.slice_rows(x, 0, 3)), mae_loss(x, x),
     ]
     for out in outs:
@@ -305,8 +305,8 @@ def _fused_case(op, rng, h_scale=1e-3, w_scale=1.0):
 
     if op == "encoder_layer":
         return (lambda h, w: encoder_layer(h, graph, w)), [h, weight(3, 3)], 1
-    if op == "hypergraph_layer":
-        return hypergraph_layer, [h, weight(3, 2), weight(2, 2)], 1
+    if op == "hypergraph_block":
+        return hypergraph_block, [h, weight(3, 2), weight(2, 2)], 1
     if op == "interaction_block":
         return ((lambda h, *w: interaction_block(h, graph, *w)),
                 [h, weight(3, 3), weight(3, 3), weight(3, 3)], 3)
@@ -323,7 +323,7 @@ def _backward_of(fn, inputs, upstream, twice=False):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("op, param", [
-    ("encoder_layer", "encoder.layer0"), ("hypergraph_layer", "scale1.hyper.factor"),
+    ("encoder_layer", "encoder.layer0"), ("hypergraph_block", "scale1.hyper.factor"),
     ("interaction_block", "scale1.inter.through"), ("average", None),
 ])
 def test_nonfinite_inside_fused_op_identifies_op(op, param):

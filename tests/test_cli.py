@@ -106,6 +106,41 @@ def test_eval_matches_training_summary(synth_dir, trained_dir, capsys):
     assert report["mape"] == summary["test_mape"]
 
 
+def rewrite_model_config(trained_dir, tmp_path, edit) -> Path:
+    """A copy of the trained checkpoint whose stored model config is edit(config dict)."""
+    meta, tensors = load_checkpoint(trained_dir / "model.ckpt")
+    config = json.loads(meta["model"])
+    edit(config)
+    ckpt = tmp_path / "edited.ckpt"
+    save_checkpoint(ckpt, {**meta, "model": json.dumps(config, sort_keys=True)}, tensors)
+    return ckpt
+
+
+def eval_checkpoint(synth_dir, ckpt) -> int:
+    return main(["eval", "--data", str(synth_dir / "signals.bin"),
+                 "--edges", str(synth_dir / "edges.csv"), "--checkpoint", str(ckpt)])
+
+
+def test_eval_loads_checkpoint_with_one_hyper_layer(synth_dir, trained_dir, tmp_path, capsys):
+    # Checkpoints written before the layer count was dropped store "hyper_layers": 1.
+    ckpt = rewrite_model_config(trained_dir, tmp_path, lambda c: c.update(hyper_layers=1))
+    assert eval_checkpoint(synth_dir, ckpt) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["mae"] == json.loads((trained_dir / "summary.json").read_text())["test_mae"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(hyper_layers=2), "hyper_layers=2"),
+    (lambda c: c.update(dropout=0.1), "unknown field 'dropout'"),
+    (lambda c: c.pop("scale_iters"), "missing field 'scale_iters'"),
+], ids=["two_hyper_layers", "unknown_field", "missing_field"])
+def test_eval_rejects_unsupported_model_config(synth_dir, trained_dir, tmp_path, capsys, edit, message):
+    ckpt = rewrite_model_config(trained_dir, tmp_path, edit)
+    assert eval_checkpoint(synth_dir, ckpt) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
 def test_predict_row_count_and_units(synth_dir, trained_dir, tmp_path):
     out = tmp_path / "pred.csv"
     rc = main(["predict", "--data", str(synth_dir / "signals.bin"),
@@ -216,6 +251,15 @@ def test_missing_data_is_a_clean_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_non_finite_learning_rate(tmp_path, capsys, lr):
+    # checked before any data is read
+    rc = main(["train", "--data", str(tmp_path / "absent.bin"),
+               "--edges", str(tmp_path / "absent.csv"), "--out", str(tmp_path), "--lr", lr])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: learning rate must be finite and >= 0, got {float(lr)}\n"
+
+
 def test_eval_rejects_node_count_mismatch(synth_dir, trained_dir, tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path), "--nodes", "5", "--communities", "1",
                "--steps", "60", "--seed", "1"])
@@ -311,7 +355,10 @@ def test_checkpoint_commands_take_no_seed(command, capsys):
 
 
 @pytest.mark.parametrize("argv", [["bench", "--out", "b.csv", "--t-grid", "6,12"],
-                                  ["verify", "--corrupt-grad", "x"]])
+                                  ["verify", "--corrupt-grad", "x"],
+                                  ["train", "--data", "s.bin", "--edges", "e.csv", "--out", "o", "--lh", "2"],
+                                  ["train", "--data", "s.bin", "--edges", "e.csv", "--out", "o",
+                                   "--clip-norm", "5"]])
 def test_removed_flags_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

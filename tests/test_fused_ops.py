@@ -18,7 +18,7 @@ import hyperflow.autodiff as ad
 from hyperflow.autodiff import Tape, Tensor
 from hyperflow.encoder import encoder_layer
 from hyperflow.graphs import temporal_graph
-from hyperflow.hyperedges import hypergraph_layer
+from hyperflow.hyperedges import hypergraph_block
 from hyperflow.interaction import interaction_block
 from hyperflow.model import average
 from hyperflow.oracles import random_net
@@ -31,7 +31,7 @@ def primitive_encoder_layer(h, graph, w):
     return relu(sparse_matmul(graph.normalized, ad.matmul(h, w), graph.normalized_t))
 
 
-def primitive_hypergraph_layer(h, factor, relations):
+def primitive_hypergraph_block(h, factor, relations):
     lam = ad.matmul(h, factor)
     pooled = ad.matmul(ad.transpose(lam), h)
     return ad.matmul(lam, add(relu(ad.matmul(relations, pooled)), pooled))
@@ -55,7 +55,7 @@ def random_graph(rng):
 # takes one, goes second and is not an input.
 OPS = {
     "encoder_layer": (encoder_layer, primitive_encoder_layer, [(N * T, D), (D, D)]),
-    "hypergraph_layer": (hypergraph_layer, primitive_hypergraph_layer, [(N * T, D), (D, I), (I, I)]),
+    "hypergraph_block": (hypergraph_block, primitive_hypergraph_block, [(N * T, D), (D, I), (I, I)]),
     "interaction_block": (interaction_block, primitive_interaction_block, [(N * T, D)] + [(D, D)] * 3),
     "average": (average, primitive_average, [(N * T, D)] * 2),
 }

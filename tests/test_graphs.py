@@ -83,7 +83,7 @@ def scan_first_rejection(n, edges):
         u, v, w = int(u), int(v), float(w)
         if not (0 <= u < n and 0 <= v < n):
             return f"edge ({u},{v}) references a node outside [0,{n})"
-        if not (np.isfinite(w) and w >= 0):
+        if not (np.isfinite(w) and (w == 0 or w >= np.finfo(float).tiny)):
             return f"edge ({u},{v}) has invalid weight {w}"
         if (u, v) in seen:
             return f"duplicate edge ({u},{v})"
@@ -108,6 +108,8 @@ def rejection(n, edges):
     # an out-of-range node comes first, on an edge whose weight is bad too
     (((0, 1, 1.0), (3, 0, -1.0), (0, 1, 1.0), (1, 1, -2.0)), "edge (3,0) references a node outside [0,3)"),
     (((-1, 0, 1.0), (0, -1, 1.0)), "edge (-1,0) references a node outside [0,3)"),
+    # a subnormal weight would round to 0 in its normalized row
+    (((0, 1, 1.0), (1, 0, 5e-324)), "edge (1,0) has invalid weight 5e-324"),
 ])
 def test_road_network_reports_first_offending_edge(edges, message):
     assert scan_first_rejection(3, edges) == message
@@ -118,7 +120,7 @@ def test_road_network_reports_first_offending_edge(edges, message):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4),
-                                             st.sampled_from([0.0, 0.5, 2.0, -1.0, float("nan"), float("inf")])),
+                                             st.sampled_from([0.0, 0.5, 2.0, -1.0, 5e-324, float("nan"), float("inf")])),
                                    max_size=8))
 def test_road_network_rejects_like_a_per_edge_scan(n, edges):
     assert rejection(n, edges) == scan_first_rejection(n, edges)
@@ -142,7 +144,7 @@ def sorted_within_rows(m):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4),
        st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                       st.one_of(st.just(0.0), st.floats(0.0, 10.0)), max_size=12))
+                       st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False)), max_size=12))
 def test_temporal_graph_matches_dense_reference(n, t, weights):
     edges = tuple((u, v, w) for (u, v), w in weights.items() if u < n and v < n)
     g = temporal_graph(RoadNetwork(n, edges), t)

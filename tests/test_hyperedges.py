@@ -15,7 +15,7 @@ def params_from(factor, relations):
 def one_layer(h, factor, relations):
     """Output and captured incidence of a single hypergraph layer."""
     captured = []
-    out = hypergraph_block(Tensor(h), *params_from(factor, relations), n_layers=1, capture=captured)
+    out = hypergraph_block(Tensor(h), *params_from(factor, relations), capture=captured)
     return out.data, captured[0]
 
 
@@ -88,26 +88,8 @@ def test_block_single_layer_is_composition():
 def test_block_zero_state_fixed_point():
     rng = np.random.default_rng(3)
     p = params_from(rng.normal(size=(4, 3)), rng.normal(size=(3, 3)))
-    out = hypergraph_block(Tensor(np.zeros((7, 4))), *p, n_layers=3)
+    out = hypergraph_block(Tensor(np.zeros((7, 4))), *p)
     np.testing.assert_array_equal(out.data, np.zeros((7, 4)))
-
-
-def test_block_two_layers_matches_straight_line_reference():
-    rng = np.random.default_rng(4)
-    h0 = rng.normal(size=(3, 3))
-    w = rng.normal(size=(3, 2))
-    u = rng.normal(size=(2, 2))
-
-    # independent re-evaluation: incidence refreshed from the evolving state
-    cur = h0
-    for _ in range(2):
-        lam = cur @ w
-        pooled = lam.T @ cur
-        edges = np.maximum(u @ pooled, 0.0) + pooled
-        cur = lam @ edges
-
-    out = hypergraph_block(Tensor(h0), *params_from(w, u), n_layers=2)
-    np.testing.assert_allclose(out.data, cur, atol=1e-12)
 
 
 def test_block_row_permutation_equivariance():
@@ -115,8 +97,8 @@ def test_block_row_permutation_equivariance():
     h = rng.normal(size=(8, 4))
     p = params_from(rng.normal(size=(4, 3)), rng.normal(size=(3, 3)))
     perm = rng.permutation(8)
-    out = hypergraph_block(Tensor(h), *p, n_layers=2).data
-    out_p = hypergraph_block(Tensor(h[perm]), *p, n_layers=2).data
+    out = hypergraph_block(Tensor(h), *p).data
+    out_p = hypergraph_block(Tensor(h[perm]), *p).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -138,25 +120,28 @@ def test_block_gradient_check():
     relations = rng.normal(size=(2, 2))
 
     def f(p):
-        return mae_loss(hypergraph_block(h, p, Tensor(relations), 2), target)
+        return mae_loss(hypergraph_block(h, p, Tensor(relations)), target)
 
     assert finite_difference_check(f, Tensor(factor)) < 1e-4
 
     def f2(p):
-        return mae_loss(hypergraph_block(h, Tensor(factor), p, 2), target)
+        return mae_loss(hypergraph_block(h, Tensor(factor), p), target)
 
     assert finite_difference_check(f2, Tensor(relations)) < 1e-4
 
 
 def test_capture_collects_one_incidence_per_layer():
+    # chained layers, as the model's block iterations run them: each call
+    # appends the incidence of its own input state
     rng = np.random.default_rng(8)
     h = Tensor(rng.normal(size=(4, 3)))
     p = params_from(rng.normal(size=(3, 2)), rng.normal(size=(2, 2)))
-    captured = []
-    hypergraph_block(h, *p, n_layers=3, capture=captured)
+    captured, states = [], [h]
+    for _ in range(3):
+        states.append(hypergraph_block(states[-1], *p, capture=captured))
     assert len(captured) == 3
-    assert all(c.shape == (4, 2) for c in captured)
-    np.testing.assert_array_equal(captured[0], (h.data @ p[0].data))
+    for lam, state in zip(captured, states):
+        np.testing.assert_array_equal(lam, state.data @ p[0].data)
 
 
 def test_incidence_csv_shape_and_values(tmp_path):

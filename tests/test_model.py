@@ -174,7 +174,7 @@ def test_forward_matches_straight_line_reference():
     x = rng.normal(size=(4, 3, 1))
     ref = reference_forward(x, net.edges, 3, {
         "lookback": 4, "horizon": 2, "width": 4, "n_hyperedges": 2,
-        "windows": (1, 2), "encoder_layers": 1, "hyper_layers": 1, "scale_iters": 1,
+        "windows": (1, 2), "encoder_layers": 1, "scale_iters": 1,
     }, model.state())
     np.testing.assert_allclose(model.predict(x), ref, atol=1e-9)
 
@@ -247,7 +247,7 @@ def test_capture_exposes_incidence_per_scale():
     model = tiny_model(rng)
     capture = {}
     model.forward(rng.normal(size=(4, 3, 1)), capture=capture)
-    # scale_iters=1, hyper_layers=1: one incidence per window size
+    # scale_iters=1: one incidence per window size
     assert set(capture["incidence"]) == {1, 2}
     assert len(capture["incidence"][1]) == 1
     assert capture["incidence"][1][0].shape == (12, 2)
