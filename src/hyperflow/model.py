@@ -27,6 +27,7 @@ from .autodiff import (
     linear_combination,
     matmul,
     mean_over_time,
+    no_tape,
     record,
     slice_rows,
     softmax_vec,
@@ -217,9 +218,11 @@ class Forecaster:
         return forecast_head(fused, h_last, p["readout_w"], p["readout_b"])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass without recording, for inference and evaluation; x
-        is one window or a stack of them, as for `forward`."""
-        return self.forward(x).data
+        """Forward pass without recording, also inside a caller's tape, for
+        inference and evaluation; x is one window or a stack of them, as
+        for `forward`."""
+        with no_tape():
+            return self.forward(x).data
 
     # -- parameter plumbing -------------------------------------------------
 

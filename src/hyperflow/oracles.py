@@ -17,12 +17,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
+from .data import SignalTensor, make_windows
 from .encoder import encoder_layer
 from .graphs import RoadNetwork, temporal_graph
 from .hyperedges import hypergraph_block
 from .interaction import interaction_block
 from .model import Forecaster, ModelConfig, average
-from .training import Adam, mae_loss
+from .training import Adam, mae_loss, one_blas_thread, predict_batch
 
 
 @dataclass(frozen=True)
@@ -301,6 +302,29 @@ def check_adam(seed: int) -> list[OracleResult]:
     return [OracleResult("adam", "closed_form_step", 1e-12, float(np.max(np.abs(p.data - expected))))]
 
 
+def check_threaded_predict(seed: int) -> list[OracleResult]:
+    """`predict_batch` forced onto 2 threads against its serial path, both
+    under one BLAS thread; observed is the number of output entries whose
+    bits differ.  10 windows of 40 sensors make chunks of 4, 4 and 2.
+
+    The serial path runs each chunk's `predict` in turn.  A chunk of
+    several windows runs its products over stacked rows, so it matches
+    per-window `predict` to about 1e-12, not bit for bit (the unit tests
+    hold it to that).
+    """
+    rng = np.random.default_rng(seed)
+    n = 40
+    cfg = ModelConfig(n_nodes=n, lookback=12, horizon=3, width=8, n_hyperedges=4,
+                      windows=(1, 2, 3), encoder_layers=2, scale_iters=1)
+    model = Forecaster(cfg, random_net(rng, n, density=0.1), seed=int(rng.integers(1 << 30)))
+    samples = make_windows(SignalTensor(rng.normal(size=(24, n, 1))), cfg.lookback, cfg.horizon)
+    with one_blas_thread():
+        serial = predict_batch(model, samples, workers=1)
+    threaded = predict_batch(model, samples, workers=2)
+    differing = int(np.count_nonzero(threaded != serial)) if threaded.shape == serial.shape else serial.size
+    return [OracleResult("threaded_predict", "two_workers_bitwise", 1.0, float(differing))]
+
+
 def run_verification(seed: int = 0) -> list[OracleResult]:
     results = []
     results += check_op_gradients(seed)
@@ -311,4 +335,5 @@ def run_verification(seed: int = 0) -> list[OracleResult]:
     results += check_pooling(seed + 5)
     results += check_fusion(seed + 6)
     results += check_adam(seed + 7)
+    results += check_threaded_predict(seed + 8)
     return results

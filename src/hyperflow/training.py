@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,12 +162,99 @@ def _chunks(samples, size: int):
     return [samples[i:i + size] for i in range(0, len(samples), size)]
 
 
-def predict_batch(model, samples) -> np.ndarray:
+@functools.cache
+def _openblas():
+    """Thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            handle = ctypes.CDLL(lib)
+            get = handle.scipy_openblas_get_num_threads64_
+            put = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread for the body and restore
+    the caller's count afterwards; without that library, do nothing."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Chunk state entries (lookback * N * windows per chunk * width) from which
+# `predict_batch` runs its chunks on several threads; see its docstring.
+THREADED_STATE_ENTRIES = 50_000
+
+
+def predict_workers(cfg, n_chunks: int) -> int:
+    """How many threads `predict_batch` runs `n_chunks` chunks on.
+
+    One, unless a chunk's state holds at least THREADED_STATE_ENTRIES
+    entries and numpy's bundled OpenBLAS can be held to one thread; then
+    one per usable CPU, at most one per chunk.
+    """
+    entries = cfg.lookback * cfg.n_nodes * windows_per_chunk(cfg) * cfg.width
+    if entries < THREADED_STATE_ENTRIES or _openblas() is None:
+        return 1
+    return min(_usable_cpus(), n_chunks)
+
+
+def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
     """Stacked (n, horizon, N) normalized predictions, no recording,
-    `windows_per_chunk` windows per forward."""
-    size = windows_per_chunk(model.cfg)
-    return np.concatenate([model.predict(np.stack([s.input for s in chunk]))
-                           for chunk in _chunks(list(samples), size)])
+    `windows_per_chunk` windows per forward.
+
+    The chunks run on `workers` threads (by default `predict_workers`), in
+    a pool that lives for the call, with OpenBLAS held to one thread
+    meanwhile.  The output keeps the order of `samples` and equals the
+    chunks run one after another under one BLAS thread, bit for bit.  An
+    error raised in a chunk reaches the caller, and every thread has ended
+    when this returns.
+
+    A large chunk spends most of its forward in numpy, OpenBLAS and scipy's
+    sparse products, which release the GIL; a small one spends it in
+    Python.  Forward-only speedup of 2 threads over 1, one BLAS thread,
+    median over 7-21 alternating pairs on a 2-vCPU VM:
+
+        chunk state entries   speedup
+        23k-31k               0.79-0.95x  (skill config, N=30: 28.8k)
+        38k-46k               1.00-1.18x, single pairs down to 0.82x
+        58k                   1.23-1.29x
+        77k-92k               1.47-1.72x
+        115k-159k             1.76-1.88x  (CLI default config, N=207: 159k)
+    """
+    chunks = _chunks(list(samples), windows_per_chunk(model.cfg))
+    if workers is None:
+        workers = predict_workers(model.cfg, len(chunks))
+
+    def run(chunk):
+        return model.predict(np.stack([s.input for s in chunk]))
+
+    if workers <= 1:
+        return np.concatenate([run(chunk) for chunk in chunks])
+    with one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        return np.concatenate(list(pool.map(run, chunks)))
 
 
 def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoch=None) -> FitResult:

@@ -393,7 +393,7 @@ def test_fd_check_each_op(op_name):
 
 
 # Every public function of autodiff but these is an op.
-NOT_OPS = {"record", "tracked", "finite_difference_check"}
+NOT_OPS = {"record", "tracked", "no_tape", "finite_difference_check"}
 
 
 @pytest.mark.parametrize("chunked", [False, True])

@@ -278,8 +278,8 @@ def test_verify_passes_and_reports_families(capsys):
     assert rc == 0
     lines = [line for line in out.splitlines() if line.startswith("[")]
     families = {line.split("]")[1].split("/")[0].strip() for line in lines}
-    assert (len(lines), len(families)) == (25, 8)
-    assert "25 oracles in 8 families, 0 failures" in out
+    assert (len(lines), len(families)) == (26, 9)
+    assert "26 oracles in 9 families, 0 failures" in out
 
 
 def test_verify_corrupt_hook_fails_only_gradient_family(monkeypatch, capsys):

@@ -155,6 +155,17 @@ def test_forward_batch_matches_per_window(n, widths):
     np.testing.assert_array_equal(model.predict(xs[:1])[0], single[0])
 
 
+def test_predict_inside_a_tape_records_nothing():
+    rng = np.random.default_rng(16)
+    model = tiny_model(rng)
+    x = rng.normal(size=(4, 3, 1))
+    expected = model.predict(x)
+    with Tape() as tape:
+        got = model.predict(x)
+    assert tape.nodes == []
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_forward_validates_input_shape():
     rng = np.random.default_rng(7)
     model = tiny_model(rng)

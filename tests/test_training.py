@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperflow as hf
+from hyperflow import oracles, training
 from hyperflow.autodiff import Tape, Tensor
 from hyperflow.model import Forecaster, ModelConfig
 from hyperflow.training import (
@@ -13,6 +17,7 @@ from hyperflow.training import (
     ha_baseline,
     mae_loss,
     predict_batch,
+    predict_workers,
     split_dataset,
     windows_per_chunk,
     write_history_csv,
@@ -208,6 +213,103 @@ def test_predict_batch_matches_per_window_predict():
     samples = samples[:12]  # chunks of 5, 5 and 2
     expected = np.stack([model.predict(s.input) for s in samples])
     np.testing.assert_allclose(predict_batch(model, samples), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_threaded_predict_oracle(seed):
+    (result,) = oracles.check_threaded_predict(seed)
+    assert result.passed, result.line()
+
+
+def test_predict_workers_rule(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    skill = ModelConfig(n_nodes=30, width=16, n_hyperedges=8, windows=(1, 2, 3),
+                        encoder_layers=2, scale_iters=2)  # 28,800 state entries
+    assert predict_workers(skill, 10) == 1
+    default = ModelConfig(n_nodes=207)  # 158,976 state entries
+    threaded = 1 if training._openblas() is None else 2
+    assert predict_workers(default, 10) == threaded
+    assert predict_workers(default, 1) == 1
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+    assert predict_workers(default, 10) == 1
+
+
+def _threads_seen(model, monkeypatch, fail_on_windows=None):
+    """Patch model.predict to log its thread and to raise on a chunk of
+    `fail_on_windows` windows."""
+    seen = []
+    original = model.predict
+
+    def predict(x):
+        seen.append(threading.get_ident())
+        if x.shape[0] == fail_on_windows:
+            raise ArithmeticError("chunk failed")
+        return original(x)
+
+    monkeypatch.setattr(model, "predict", predict)
+    return seen
+
+
+def test_predict_batch_below_threshold_starts_no_thread(monkeypatch):
+    model, samples = chunk_setup(seed=7)
+    assert predict_workers(model.cfg, 3) == 1
+    seen = _threads_seen(model, monkeypatch)
+    predict_batch(model, samples[:12])
+    assert seen == [threading.get_ident()] * 3
+
+
+def test_threaded_predict_batch_joins_threads_and_raises(monkeypatch):
+    model, samples = chunk_setup(seed=8)
+    samples = samples[:12]  # chunks of 5, 5 and 2
+    before = threading.active_count()
+    predict_batch(model, samples, workers=2)
+    assert threading.active_count() == before
+    _threads_seen(model, monkeypatch, fail_on_windows=2)
+    with pytest.raises(ArithmeticError, match="chunk failed"):
+        predict_batch(model, samples, workers=2)
+    assert threading.active_count() == before
+
+
+def test_threaded_predict_batch_under_fast_switching():
+    """More workers than cores, and the interpreter switching threads every
+    microsecond: the output is still the serial output."""
+    model, samples = chunk_setup(seed=10)
+    samples = samples[:22]  # chunks of 5, 5, 5, 5 and 2
+    with training.one_blas_thread():
+        expected = predict_batch(model, samples, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = predict_batch(model, samples, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.skipif(training._openblas() is None, reason="numpy's bundled OpenBLAS is not loadable")
+def test_threaded_predict_batch_restores_blas_threads(monkeypatch):
+    get, put = training._openblas()
+    model, samples = chunk_setup(seed=9)
+    samples = samples[:12]
+    held = []
+    original = model.predict
+
+    def predict(x):
+        held.append(get())
+        return original(x)
+
+    monkeypatch.setattr(model, "predict", predict)
+    caller = get()
+    try:
+        put(2)
+        predict_batch(model, samples, workers=2)
+        assert get() == 2 and set(held) == {1}
+        _threads_seen(model, monkeypatch, fail_on_windows=2)
+        with pytest.raises(ArithmeticError):
+            predict_batch(model, samples, workers=2)
+        assert get() == 2
+    finally:
+        put(caller)
 
 
 def test_fit_zero_epochs_returns_initial_parameters():
