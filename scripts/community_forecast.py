@@ -33,6 +33,8 @@ def main():
     ap.add_argument("--lr", type=float, default=3e-3)
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args()
+    if args.communities < 2:
+        ap.error("--communities must be at least 2 to compare within and across communities")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

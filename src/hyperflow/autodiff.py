@@ -49,13 +49,22 @@ otherwise gives each thread that allocates concurrently its own arena with
 its own top pad, and forward passes on worker threads
 (`training.predict_batch`) then raised peak memory from 171 to 197 MB at
 N=207 on two threads.  Without glibc it does nothing.
+
+Importing this module also holds numpy's bundled OpenBLAS to one thread
+for the whole process, over an explicit OPENBLAS_NUM_THREADS too.  The
+package gets its parallelism from its own threads; BLAS threads only
+contend with them and with other processes, and one thread fixes each
+product's summation order.  BLAS_PINNED says whether the pin took effect;
+without that library it is False and nothing is pinned.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import glob
 import math
+import os
 import threading
 from typing import Callable, Sequence
 
@@ -78,7 +87,21 @@ def _keep_heap_slack() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
+def _pin_openblas() -> bool:
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            put = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        put.argtypes, put.restype = [ctypes.c_int], None
+        put(1)
+        return True
+    return False
+
+
 _keep_heap_slack()
+BLAS_PINNED = _pin_openblas()
 
 
 class ShapeError(ValueError):

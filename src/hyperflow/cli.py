@@ -268,7 +268,8 @@ def _bench_child(spec_json: str) -> int:
 def _run_bench_child(spec: dict) -> dict:
     # A fresh process with one BLAS thread: forward time in the calling
     # process depends on its heap history (after a long training run small
-    # sizes stop page-faulting, large ones do not) and on OpenBLAS splitting
+    # sizes stop page-faulting, large ones do not) and, under a BLAS build
+    # that the import-time OpenBLAS pin does not reach, on BLAS splitting
     # only the larger products across cores, both of which bend the slopes.
     env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
     package_root = str(Path(__file__).resolve().parents[1])

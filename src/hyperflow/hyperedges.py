@@ -86,7 +86,7 @@ def community_cosines(incidence: np.ndarray, membership) -> tuple[float, float]:
 
     incidence is (T, N, I), one hyperedge-membership row per step and node;
     membership gives each node's community.  Every pair i < j at every step
-    counts once.
+    counts once.  Raises ValueError when either group has no pair.
     """
     t_steps, n, _ = incidence.shape
     same, cross = [], []
@@ -97,4 +97,6 @@ def community_cosines(incidence: np.ndarray, membership) -> tuple[float, float]:
         for i in range(n):
             for j in range(i + 1, n):
                 (same if membership[i] == membership[j] else cross).append(cos[i, j])
+    if not same or not cross:
+        raise ValueError("community cosines need a pair of nodes within a community and one across")
     return float(np.mean(same)), float(np.mean(cross))

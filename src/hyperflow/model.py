@@ -64,6 +64,8 @@ class ModelConfig:
         for w in self.windows:
             if w < 1 or self.lookback % w != 0:
                 raise ValueError(f"window size {w} does not divide lookback {self.lookback}")
+        if len(set(self.windows)) < len(self.windows):
+            raise ValueError(f"window sizes must be distinct, got {list(self.windows)}")
 
     def to_json(self) -> str:
         d = self.__dict__.copy()

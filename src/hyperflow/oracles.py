@@ -23,7 +23,7 @@ from .graphs import RoadNetwork, temporal_graph
 from .hyperedges import hypergraph_block
 from .interaction import interaction_block
 from .model import Forecaster, ModelConfig, average
-from .training import Adam, mae_loss, one_blas_thread, predict_batch
+from .training import Adam, mae_loss, predict_batch
 
 
 @dataclass(frozen=True)
@@ -303,9 +303,9 @@ def check_adam(seed: int) -> list[OracleResult]:
 
 
 def check_threaded_predict(seed: int) -> list[OracleResult]:
-    """`predict_batch` forced onto 2 threads against its serial path, both
-    under one BLAS thread; observed is the number of output entries whose
-    bits differ.  10 windows of 40 sensors make chunks of 4, 4 and 2.
+    """`predict_batch` forced onto 2 threads against its serial path;
+    observed is the number of output entries whose bits differ.  10
+    windows of 40 sensors make chunks of 4, 4 and 2.
 
     The serial path runs each chunk's `predict` in turn.  A chunk of
     several windows runs its products over stacked rows, so it matches
@@ -318,8 +318,7 @@ def check_threaded_predict(seed: int) -> list[OracleResult]:
                       windows=(1, 2, 3), encoder_layers=2, scale_iters=1)
     model = Forecaster(cfg, random_net(rng, n, density=0.1), seed=int(rng.integers(1 << 30)))
     samples = make_windows(SignalTensor(rng.normal(size=(24, n, 1))), cfg.lookback, cfg.horizon)
-    with one_blas_thread():
-        serial = predict_batch(model, samples, workers=1)
+    serial = predict_batch(model, samples, workers=1)
     threaded = predict_batch(model, samples, workers=2)
     differing = int(np.count_nonzero(threaded != serial)) if threaded.shape == serial.shape else serial.size
     return [OracleResult("threaded_predict", "two_workers_bitwise", 1.0, float(differing))]

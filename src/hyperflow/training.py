@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
-import glob
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericError, ShapeError, Tape, Tensor, record, tracked
+from .autodiff import BLAS_PINNED, NumericError, ShapeError, Tape, Tensor, record, tracked
 from .checkpoint import atomic_open
 
 # Adam's decay rates and denominator offset, the usual defaults.
@@ -162,40 +158,6 @@ def _chunks(samples, size: int):
     return [samples[i:i + size] for i in range(0, len(samples), size)]
 
 
-@functools.cache
-def _openblas():
-    """Thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for lib in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            handle = ctypes.CDLL(lib)
-            get = handle.scipy_openblas_get_num_threads64_
-            put = handle.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold numpy's bundled OpenBLAS to one thread for the body and restore
-    the caller's count afterwards; without that library, do nothing."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -212,11 +174,12 @@ def predict_workers(cfg, n_chunks: int) -> int:
     """How many threads `predict_batch` runs `n_chunks` chunks on.
 
     One, unless a chunk's state holds at least THREADED_STATE_ENTRIES
-    entries and numpy's bundled OpenBLAS can be held to one thread; then
-    one per usable CPU, at most one per chunk.
+    entries and numpy's bundled OpenBLAS runs at one thread
+    (`autodiff.BLAS_PINNED`); then one per usable CPU, at most one per
+    chunk.
     """
     entries = cfg.lookback * cfg.n_nodes * windows_per_chunk(cfg) * cfg.width
-    if entries < THREADED_STATE_ENTRIES or _openblas() is None:
+    if entries < THREADED_STATE_ENTRIES or not BLAS_PINNED:
         return 1
     return min(_usable_cpus(), n_chunks)
 
@@ -226,11 +189,10 @@ def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
     `windows_per_chunk` windows per forward.
 
     The chunks run on `workers` threads (by default `predict_workers`), in
-    a pool that lives for the call, with OpenBLAS held to one thread
-    meanwhile.  The output keeps the order of `samples` and equals the
-    chunks run one after another under one BLAS thread, bit for bit.  An
-    error raised in a chunk reaches the caller, and every thread has ended
-    when this returns.
+    a pool that lives for the call.  The output keeps the order of
+    `samples` and equals the chunks run one after another, bit for bit.
+    An error raised in a chunk reaches the caller, and every thread has
+    ended when this returns.
 
     A large chunk spends most of its forward in numpy, OpenBLAS and scipy's
     sparse products, which release the GIL; a small one spends it in
@@ -253,7 +215,7 @@ def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
 
     if workers <= 1:
         return np.concatenate([run(chunk) for chunk in chunks])
-    with one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         return np.concatenate(list(pool.map(run, chunks)))
 
 

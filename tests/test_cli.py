@@ -133,7 +133,8 @@ def test_eval_loads_checkpoint_with_one_hyper_layer(synth_dir, trained_dir, tmp_
     (lambda c: c.update(hyper_layers=2), "hyper_layers=2"),
     (lambda c: c.update(dropout=0.1), "unknown field 'dropout'"),
     (lambda c: c.pop("scale_iters"), "missing field 'scale_iters'"),
-], ids=["two_hyper_layers", "unknown_field", "missing_field"])
+    (lambda c: c.update(windows=[1, 1]), "window sizes must be distinct, got [1, 1]"),
+], ids=["two_hyper_layers", "unknown_field", "missing_field", "duplicate_windows"])
 def test_eval_rejects_unsupported_model_config(synth_dir, trained_dir, tmp_path, capsys, edit, message):
     ckpt = rewrite_model_config(trained_dir, tmp_path, edit)
     assert eval_checkpoint(synth_dir, ckpt) == 1
@@ -242,6 +243,14 @@ def test_config_validation_fails_fast(tmp_path):
                "--edges", str(tmp_path / "absent.csv"), "--out", str(tmp_path),
                "--windows", "5", "--lookback", "12"])
     assert rc == 1
+
+
+def test_train_rejects_duplicate_windows_before_reading_data(tmp_path, capsys):
+    rc = main(["train", "--data", str(tmp_path / "absent.bin"),
+               "--edges", str(tmp_path / "absent.csv"), "--out", str(tmp_path),
+               "--windows", "2,2"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: window sizes must be distinct, got [2, 2]\n"
 
 
 def test_missing_data_is_a_clean_error(tmp_path, capsys):
@@ -408,16 +417,25 @@ def test_bench_leaves_caller_environment_unchanged(tmp_path, monkeypatch):
     assert dict(os.environ) == before
 
 
-def test_community_forecast_script_runs(tmp_path):
-    # The scripts reach the package only through imports; run one end to end
-    # so that an API change breaks a test instead of the script.
+def run_community_script(*args) -> subprocess.CompletedProcess:
+    # The scripts reach the package only through imports; running one end to
+    # end makes an API change break a test instead of the script.
     script = Path(__file__).resolve().parents[1] / "scripts" / "community_forecast.py"
     src_root = str(Path(hyperflow.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--nodes", "6",
-                    "--communities", "2", "--steps", "200", "--epochs", "1", "--d", "8",
-                    "--hyperedges", "4"],
-                   env=dict(os.environ, PYTHONPATH=src_root), capture_output=True, check=True,
-                   timeout=120)
+    return subprocess.run([sys.executable, str(script), *args],
+                          env=dict(os.environ, PYTHONPATH=src_root), capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_community_forecast_script_rejects_one_community(tmp_path):
+    run = run_community_script("--out", str(tmp_path / "out"), "--communities", "1")
+    assert run.returncode == 2 and "--communities must be at least 2" in run.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_community_forecast_script_runs(tmp_path):
+    run_community_script("--out", str(tmp_path), "--nodes", "6", "--communities", "2", "--steps", "200",
+                         "--epochs", "1", "--d", "8", "--hyperedges", "4").check_returncode()
     results = json.loads((tmp_path / "results.json").read_text())
     assert np.isfinite(results["model"]["mae"])
     assert np.isfinite(results["incidence_same_community_cosine"])

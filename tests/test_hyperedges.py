@@ -2,9 +2,10 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from hyperflow.autodiff import Tensor, finite_difference_check
-from hyperflow.hyperedges import hypergraph_block, write_incidence_csv
+from hyperflow.hyperedges import community_cosines, hypergraph_block, write_incidence_csv
 from hyperflow.training import mae_loss
 
 
@@ -171,3 +172,14 @@ def test_incidence_csv_bytes_match_csv_writer(tmp_path):
             for e, value in enumerate(lam[t * 5 + i]):
                 writer.writerow([t, i, e, repr(float(value))])
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_community_cosines_of_two_planted_groups():
+    lam = np.array([[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]])  # one step, 3 nodes
+    assert community_cosines(lam, [0, 0, 1]) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("membership", [[0, 0, 0], [0, 1, 2]], ids=["one_community", "no_shared"])
+def test_community_cosines_reject_an_empty_group(membership):
+    with pytest.raises(ValueError, match="within a community and one across"):
+        community_cosines(np.ones((2, 3, 2)), membership)

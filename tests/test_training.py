@@ -227,9 +227,12 @@ def test_predict_workers_rule(monkeypatch):
                         encoder_layers=2, scale_iters=2)  # 28,800 state entries
     assert predict_workers(skill, 10) == 1
     default = ModelConfig(n_nodes=207)  # 158,976 state entries
-    threaded = 1 if training._openblas() is None else 2
-    assert predict_workers(default, 10) == threaded
+    monkeypatch.setattr(training, "BLAS_PINNED", True)
+    assert predict_workers(default, 10) == 2
     assert predict_workers(default, 1) == 1
+    monkeypatch.setattr(training, "BLAS_PINNED", False)
+    assert predict_workers(default, 10) == 1
+    monkeypatch.setattr(training, "BLAS_PINNED", True)
     monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     assert predict_workers(default, 10) == 1
 
@@ -275,8 +278,7 @@ def test_threaded_predict_batch_under_fast_switching():
     microsecond: the output is still the serial output."""
     model, samples = chunk_setup(seed=10)
     samples = samples[:22]  # chunks of 5, 5, 5, 5 and 2
-    with training.one_blas_thread():
-        expected = predict_batch(model, samples, workers=1)
+    expected = predict_batch(model, samples, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -284,32 +286,6 @@ def test_threaded_predict_batch_under_fast_switching():
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(got, expected)
-
-
-@pytest.mark.skipif(training._openblas() is None, reason="numpy's bundled OpenBLAS is not loadable")
-def test_threaded_predict_batch_restores_blas_threads(monkeypatch):
-    get, put = training._openblas()
-    model, samples = chunk_setup(seed=9)
-    samples = samples[:12]
-    held = []
-    original = model.predict
-
-    def predict(x):
-        held.append(get())
-        return original(x)
-
-    monkeypatch.setattr(model, "predict", predict)
-    caller = get()
-    try:
-        put(2)
-        predict_batch(model, samples, workers=2)
-        assert get() == 2 and set(held) == {1}
-        _threads_seen(model, monkeypatch, fail_on_windows=2)
-        with pytest.raises(ArithmeticError):
-            predict_batch(model, samples, workers=2)
-        assert get() == 2
-    finally:
-        put(caller)
 
 
 def test_fit_zero_epochs_returns_initial_parameters():
