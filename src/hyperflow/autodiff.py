@@ -36,8 +36,8 @@ The model's repeated blocks (the input features, an encoder layer, a
 hypergraph layer, the interaction block, the average of the two blocks and
 the loss) are single ops with hand-written vjps, defined next to the
 blocks in their own modules through `record`.  The contract above is
-unchanged for them: one node per call, no graph outside a tape, no
-gradient computed for an input that is not `tracked`, gradients never
+unchanged for them: one node per call, no graph outside a tape, a
+gradient for every input (backward drops a constant's), gradients never
 written in place, and a non-finite value or gradient names the op.
 
 Every op allocates a fresh output.  A forward pass that frees as it goes
@@ -211,8 +211,6 @@ class Tape:
                 continue  # not reachable from the loss
             contributions = vjp(node.grad)
             for parent, g in zip(parents, contributions):
-                if g is None:
-                    continue
                 _check_finite(g, f"backward of {node.op}")
                 if parent._vjp is not None:
                     if parent.grad is None:
@@ -231,8 +229,8 @@ class Tape:
 def record(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap the output of one op, linking it to the active tape if any.
 
-    `vjp` maps the output's gradient to one gradient (or None) per entry
-    of `parents`, in order; it must not write into its argument.  A
+    `vjp` maps the output's gradient to one gradient array per entry of
+    `parents`, in order; it must not write into its argument.  A
     non-finite output raises NumericError naming `op`, and so does a
     non-finite gradient the vjp returns during backward.
     """
@@ -252,11 +250,6 @@ def record(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tenso
     return out
 
 
-def tracked(t: Tensor) -> bool:
-    """Whether backward wants a gradient for t (a recorded node or a trainable leaf)."""
-    return t._vjp is not None or t.requires_grad
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -265,13 +258,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b for a matrix b; a may carry a window axis, (R, B, k) @ (k, m)."""
     if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-    need_a, need_b = tracked(a), tracked(b)
     a2 = a.data.reshape(-1, b.shape[0])
 
     def vjp(g):
         g2 = g.reshape(-1, b.shape[1])
-        return ((g2 @ b.data.T).reshape(a.shape) if need_a else None,
-                a2.T @ g2 if need_b else None)
+        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
     return record((a2 @ b.data).reshape(*a.shape[:-1], b.shape[1]), "matmul", (a, b), vjp)
 

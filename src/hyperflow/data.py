@@ -208,6 +208,9 @@ def synth_generate(n_nodes: int, n_communities: int, t_total: int, seed: int,
         raise ValueError(f"need 1 <= communities ({n_communities}) <= nodes ({n_nodes})")
     if t_total < 1:
         raise ValueError(f"t_total must be >= 1, got {t_total}")
+    for name, rate in (("noise_std", noise_std), ("events_per_day", events_per_day)):
+        if not (np.isfinite(rate) and rate >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {rate}")
     rng = np.random.default_rng(seed)
 
     groups = np.array_split(np.arange(n_nodes), n_communities)

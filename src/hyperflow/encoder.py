@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, record, tracked
+from .autodiff import Tensor, record
 from .autodiff import matmul  # noqa: F401  perfbench/layertrace.py wraps matmul under this name
 from .graphs import TemporalGraph
 
@@ -31,7 +31,6 @@ def build_node_features(x: np.ndarray, input_proj: Tensor, spatial: Tensor, temp
         raise ValueError(f"signal has {n_nodes} nodes, spatial table has {spatial.shape[0]}")
     if t_steps != temporal.shape[0]:
         raise ValueError(f"signal has {t_steps} steps, temporal table has {temporal.shape[0]}")
-    need_w, need_s, need_t = tracked(input_proj), tracked(spatial), tracked(temporal)
     d = input_proj.shape[1]
     # Rows (t, i) first, then windows, so that each row is contiguous.
     flat = np.moveaxis(x.reshape(-1, t_steps, n_nodes, n_features), 0, 2).reshape(-1, n_features)
@@ -40,9 +39,7 @@ def build_node_features(x: np.ndarray, input_proj: Tensor, spatial: Tensor, temp
 
     def vjp(g):
         g4 = g.reshape(t_steps, n_nodes, -1, d)
-        return (flat.T @ g.reshape(-1, d) if need_w else None,
-                g4.sum(axis=(0, 2)) if need_s else None,
-                g4.sum(axis=(1, 2)) if need_t else None)
+        return flat.T @ g.reshape(-1, d), g4.sum(axis=(0, 2)), g4.sum(axis=(1, 2))
 
     return record(out.reshape(t_steps * n_nodes, *lead, d), "node_features",
                   (input_proj, spatial, temporal), vjp)
@@ -50,7 +47,6 @@ def build_node_features(x: np.ndarray, input_proj: Tensor, spatial: Tensor, temp
 
 def encoder_layer(h: Tensor, graph: TemporalGraph, w: Tensor) -> Tensor:
     """relu(A_norm (h W)) as one tape op; h is (R, d) or (R, B, d)."""
-    need_h, need_w = tracked(h), tracked(w)
     rows, d = h.shape[0], w.shape[1]
     h2 = h.data.reshape(-1, w.shape[0])
     hw = (h2 @ w.data).reshape(rows, -1)
@@ -58,8 +54,7 @@ def encoder_layer(h: Tensor, graph: TemporalGraph, w: Tensor) -> Tensor:
 
     def vjp(g):
         g_hw = (graph.normalized_t @ (g.reshape(rows, -1) * (out > 0))).reshape(-1, d)
-        return ((g_hw @ w.data.T).reshape(h.shape) if need_h else None,
-                h2.T @ g_hw if need_w else None)
+        return (g_hw @ w.data.T).reshape(h.shape), h2.T @ g_hw
 
     return record(out.reshape(*h.shape[:-1], d), "encoder_layer", (h, w), vjp)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, record, tracked
+from .autodiff import Tensor, record
 from .autodiff import matmul  # noqa: F401  perfbench/layertrace.py wraps matmul under this name
 from .checkpoint import atomic_open
 
@@ -32,7 +32,6 @@ def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor,
     rows, d, n_edges = shape[0], shape[-1], factor.data.shape[1]
     if d != factor.data.shape[0]:
         raise ValueError(f"state width {d} does not match factor rows {factor.data.shape[0]}")
-    need_h, need_f, need_u = tracked(h), tracked(factor), tracked(relations)
     h2 = h.data.reshape(-1, d)
     lam2 = h2 @ factor.data
     if capture is not None:
@@ -54,15 +53,12 @@ def hypergraph_block(h: Tensor, factor: Tensor, relations: Tensor,
         g_w = g.reshape(rows, -1, d).transpose(1, 0, 2)
         g_edges = lam_t @ g_w
         g_mixed = g_edges * (mixed > 0)
-        g_u = (g_mixed @ pooled.transpose(0, 2, 1)).sum(axis=0) if need_u else None
-        if not (need_h or need_f):
-            return None, None, g_u
+        g_u = (g_mixed @ pooled.transpose(0, 2, 1)).sum(axis=0)
         g_pooled = g_edges + relations.data.T @ g_mixed
         g_lam = to_rows(g_w @ edges.transpose(0, 2, 1) + h_w @ g_pooled.transpose(0, 2, 1))
         g_lam2 = g_lam.reshape(-1, n_edges)
-        g_h = (to_rows(lam_w @ g_pooled) + (g_lam2 @ factor.data.T).reshape(shape)
-               if need_h else None)
-        return g_h, h2.T @ g_lam2 if need_f else None, g_u
+        g_h = to_rows(lam_w @ g_pooled) + (g_lam2 @ factor.data.T).reshape(shape)
+        return g_h, h2.T @ g_lam2, g_u
 
     return record(to_rows(lam_w @ edges), "hypergraph_block", (h, factor, relations), vjp)
 

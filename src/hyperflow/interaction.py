@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, record, tracked
+from .autodiff import Tensor, record
 from .autodiff import matmul  # noqa: F401  perfbench/layertrace.py wraps matmul under this name
 from .graphs import TemporalGraph
 
@@ -29,7 +29,6 @@ def interaction_block(h: Tensor, graph: TemporalGraph, pair_left: Tensor, pair_r
     if h.shape[0] != graph.n_nodes:
         raise ValueError(f"state matrix has {h.shape[0]} rows, graph has {graph.n_nodes} nodes")
     weights = (pair_left, pair_right, through)
-    need_h, need_w = tracked(h), [tracked(w) for w in weights]
     rows, d = h.shape[0], h.shape[-1]
     # One CSR product covers every window: A acts on rows, (R, B*d).
     mixed = np.asarray(graph.normalized @ h.data.reshape(rows, -1)).reshape(-1, d)
@@ -45,13 +44,11 @@ def interaction_block(h: Tensor, graph: TemporalGraph, pair_left: Tensor, pair_r
         np.multiply(g_pair, right, out=g_proj[0])
         np.multiply(g_pair, left, out=g_proj[1])
         np.multiply(g2, lin_on, out=g_proj[2])
-        g_w = [mixed.T @ g_k if need else None for g_k, need in zip(g_proj, need_w)]
-        g_h = None
-        if need_h:
-            g_mixed = g_proj[0] @ pair_left.data.T
-            g_mixed += g_proj[1] @ pair_right.data.T
-            g_mixed += g_proj[2] @ through.data.T
-            g_h = (graph.normalized_t @ g_mixed.reshape(rows, -1)).reshape(h.shape)
+        g_w = [mixed.T @ g_k for g_k in g_proj]
+        g_mixed = g_proj[0] @ pair_left.data.T
+        g_mixed += g_proj[1] @ pair_right.data.T
+        g_mixed += g_proj[2] @ through.data.T
+        g_h = (graph.normalized_t @ g_mixed.reshape(rows, -1)).reshape(h.shape)
         return g_h, *g_w
 
     out = np.maximum(pair, 0.0, out=pair)

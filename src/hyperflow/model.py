@@ -31,7 +31,6 @@ from .autodiff import (
     record,
     slice_rows,
     softmax_vec,
-    tracked,
     transpose,
     window_max_rows,
 )
@@ -138,15 +137,9 @@ def average(a: Tensor, b: Tensor) -> Tensor:
     """(a + b) / 2 as one tape op."""
     if a.shape != b.shape:
         raise ShapeError(f"average: shapes {a.shape} and {b.shape} differ")
-    need_a, need_b = tracked(a), tracked(b)
-
-    def vjp(g):
-        half = g * 0.5
-        return (half if need_a else None, half if need_b else None)
-
     out = a.data + b.data
     out *= 0.5
-    return record(out, "average", (a, b), vjp)
+    return record(out, "average", (a, b), lambda g: (g * 0.5,) * 2)  # one array for both
 
 
 def mixed_layer(delta: Tensor, graph: TemporalGraph, params: dict[str, Tensor], eps: int,

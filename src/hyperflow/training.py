@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import BLAS_PINNED, NumericError, ShapeError, Tape, Tensor, record, tracked
+from .autodiff import BLAS_PINNED, NumericError, ShapeError, Tape, Tensor, record
 from .checkpoint import atomic_open
 
 # Adam's decay rates and denominator offset, the usual defaults.
@@ -52,13 +52,12 @@ def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
     """
     if pred.shape != target.shape:
         raise ShapeError(f"mae_loss: shapes {pred.shape} and {target.shape} differ")
-    need_p, need_t = tracked(pred), tracked(target)
     diff = pred.data - target.data
     n_entries = int(np.prod(diff.shape[-2:]))
 
     def vjp(g):
         g_diff = np.sign(diff) * (float(g) / n_entries)
-        return (g_diff if need_p else None, -g_diff if need_t else None)
+        return g_diff, -g_diff
 
     per_window = np.abs(diff).reshape(-1, n_entries).mean(axis=1)
     return record(np.asarray(per_window.sum()), "mae_loss", (pred, target), vjp)
@@ -219,18 +218,18 @@ def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
         return np.concatenate(list(pool.map(run, chunks)))
 
 
-def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoch=None) -> FitResult:
+def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=None) -> FitResult:
     """Mini-batch Adam on the MAE loss.
 
     Batches are reshuffled each epoch from a generator seeded by cfg.seed
     and run in chunks of `windows_per_chunk` windows, each chunk on its own
     tape with the sum of its windows' losses, so a fixed seed reproduces
-    runs bit for bit.  Metric history is reported on
-    de-normalized values (via `stats`); the train row uses the predictions
-    accumulated during the epoch, the val row a dedicated pass.  Parameters
-    with the best validation MAE are restored at the end.
+    runs bit for bit.  Metric history is reported on de-normalized values
+    (via `stats`); the train row uses the predictions accumulated during
+    the epoch, the val row a dedicated pass.  Parameters with the best
+    validation MAE are restored at the end.  A non-finite value raises
+    RuntimeError naming the epoch and the batch or the validation pass.
     """
-    denorm = (lambda y: y) if stats is None else stats.invert_flow
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.named_parameters(), lr=cfg.lr)
     result = FitResult()
@@ -262,15 +261,18 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats=None, on_epoc
             result.steps += 1
             epoch_trues.extend(s.target for s in batch)
 
-        train_report = evaluate(denorm(np.stack(epoch_preds)),
-                                denorm(np.stack(epoch_trues)))
+        train_report = evaluate(stats.invert_flow(np.stack(epoch_preds)),
+                                stats.invert_flow(np.stack(epoch_trues)))
         result.history.append((epoch, "train", train_report))
 
         val_report = None
         if val_samples:
-            val_pred = predict_batch(model, val_samples)
+            try:
+                val_pred = predict_batch(model, val_samples)
+            except NumericError as err:
+                raise RuntimeError(f"non-finite value at epoch {epoch}, validation pass: {err}") from err
             val_true = np.stack([s.target for s in val_samples])
-            val_report = evaluate(denorm(val_pred), denorm(val_true))
+            val_report = evaluate(stats.invert_flow(val_pred), stats.invert_flow(val_true))
             result.history.append((epoch, "val", val_report))
             if result.best_val_mae is None or val_report.mae < result.best_val_mae:
                 result.best_val_mae = val_report.mae

@@ -9,7 +9,7 @@ the same contract as the package's ops: one node per call through
 
 import numpy as np
 
-from hyperflow.autodiff import ShapeError, Tensor, record, tracked
+from hyperflow.autodiff import ShapeError, Tensor, record
 from hyperflow.graphs import RoadNetwork, temporal_graph
 
 
@@ -31,13 +31,7 @@ def sparse_matmul(sp_mat, x: Tensor, sp_mat_t) -> Tensor:
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    need_a, need_b = tracked(a), tracked(b)
-
-    def vjp(g):
-        return (g * b.data if need_a else None,
-                g * a.data if need_b else None)
-
-    return record(a.data * b.data, "hadamard", (a, b), vjp)
+    return record(a.data * b.data, "hadamard", (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

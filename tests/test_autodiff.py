@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperflow.autodiff as ad
 from hyperflow.autodiff import NumericError, ShapeError, Tape, Tensor, finite_difference_check
+from hyperflow.data import NormStats
 from hyperflow.encoder import build_node_features, encoder_layer
 from hyperflow.graphs import RoadNetwork, temporal_graph
 from hyperflow.hyperedges import hypergraph_block
@@ -359,7 +360,7 @@ def test_nonfinite_inside_fused_op_identifies_op(op, param):
     model.params[param].data = np.full(model.params[param].shape, np.inf)
     samples = [SimpleNamespace(input=sig[i:i + 4], target=sig[i + 4:i + 6, :, 0]) for i in range(3)]
     with pytest.raises(RuntimeError, match=f"epoch 0, batch 0: .*produced by {op}"):
-        fit(model, samples, [], TrainConfig(epochs=1, batch_size=2, seed=0))
+        fit(model, samples, [], TrainConfig(epochs=1, batch_size=2, seed=0), stats=NormStats([0.0], [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +394,15 @@ def test_fd_check_each_op(op_name):
 
 
 # Every public function of autodiff but these is an op.
-NOT_OPS = {"record", "tracked", "no_tape", "finite_difference_check"}
+NOT_OPS = {"record", "no_tape", "finite_difference_check"}
 
 
 @pytest.mark.parametrize("chunked", [False, True])
 def test_model_records_every_autodiff_op(chunked, monkeypatch):
     """A taped forward and loss at the skill config call every op autodiff
-    defines, for one window and for a chunk, so no op there is dead code."""
+    defines, for one window and for a chunk, so no op there is dead code.
+    Every recorded vjp, the fused blocks' too, returns one gradient array
+    of its parent's shape for each parent, never None."""
     defined = {name for name, fn in vars(ad).items()
                if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                and not name.startswith("_")} - NOT_OPS
@@ -421,8 +424,23 @@ def test_model_records_every_autodiff_op(chunked, monkeypatch):
     x, y = rng.normal(size=(*batch, 12, n, 1)), rng.normal(size=(*batch, 12, n))
     with Tape() as tape:
         loss = mae_loss(model.forward(x), Tensor(y))
+    checked = []
+
+    def checking(op, parents, vjp):  # backward clears a node's links before its vjp runs
+        def wrapped(g):
+            grads = vjp(g)
+            assert len(grads) == len(parents), op
+            for parent, grad in zip(parents, grads):
+                assert isinstance(grad, np.ndarray) and grad.shape == parent.shape, op
+            checked.append(op)
+            return grads
+        return wrapped
+
+    for node in tape.nodes:
+        node._vjp = checking(node.op, node.parents, node._vjp)
     tape.backward(loss)
     assert callers == defined, (sorted(defined - callers), sorted(callers - defined))
+    assert sorted(checked) == sorted(node.op for node in tape.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,14 @@ def test_train_rejects_non_finite_learning_rate(tmp_path, capsys, lr):
     assert capsys.readouterr().err == f"error: learning rate must be finite and >= 0, got {float(lr)}\n"
 
 
+def test_synth_rejects_negative_noise_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["synth", "--out", str(out), "--noise", "-1", "--events-per-day", "nan"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: noise_std must be finite and >= 0, got -1.0\n"
+    assert not out.exists()
+
+
 def test_eval_rejects_node_count_mismatch(synth_dir, trained_dir, tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path), "--nodes", "5", "--communities", "1",
                "--steps", "60", "--seed", "1"])

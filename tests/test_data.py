@@ -237,6 +237,13 @@ def test_synth_validates_counts():
         synth_generate(3, 1, 0, seed=0)
 
 
+@pytest.mark.parametrize("option, value", [("noise_std", -1.0), ("noise_std", np.nan),
+                                           ("events_per_day", -0.5), ("events_per_day", np.inf)])
+def test_synth_rejects_negative_or_non_finite_rates(option, value):
+    with pytest.raises(ValueError, match=f"{option} must be finite and >= 0"):
+        synth_generate(6, 2, 60, seed=0, **{option: value})
+
+
 def test_save_synth_writes_standard_file_set(tmp_path):
     sig, net, mem = synth_generate(6, 2, 60, seed=4)
     paths = save_synth(tmp_path / "data", sig, net, mem)

@@ -333,6 +333,22 @@ def test_fit_decreases_training_loss():
     assert last < first * 0.7
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_fit_names_the_epoch_of_a_non_finite_validation_pass():
+    # One batch holds all 4 training windows, and its step of 1e300 leaves
+    # weights finite but so large that the next forward, the validation
+    # pass, overflows.
+    sig, net, _ = hf.synth_generate(3, 1, 30, seed=0)  # 4 training windows, 1 validation
+    prep = hf.prepare_dataset(sig, 12, 12)
+    cfg = ModelConfig(n_nodes=3, n_features=1, lookback=12, horizon=12, width=8,
+                      n_hyperedges=4, windows=(1, 2), encoder_layers=1, scale_iters=1)
+    model = Forecaster(cfg, net, seed=0)
+    with pytest.raises(RuntimeError, match="^non-finite value at epoch 0, validation pass: "
+                                           "non-finite values produced by "):
+        fit(model, prep.train, prep.val, TrainConfig(epochs=1, batch_size=4, lr=1e300),
+            stats=prep.stats)
+
+
 def test_history_csv_format(tmp_path):
     history = [(0, "train", MetricReport(1.0, 2.0, 3.0)),
                (0, "val", MetricReport(1.5, 2.5, None))]
