@@ -8,10 +8,16 @@ are irrelevant.
 
 Ops take Tensors; wrap a raw array in Tensor() first.  A tape is
 single-writer: one forward pass records onto it and one backward() consumes
-it, and a second backward on the same tape is an error.  Backward drops
-each node's vjp and parents once it has passed the node, so the
+it, and a second backward on the same tape is an error.  Once its `with`
+block has exited, another thread may run that backward while the
+recording thread records the next forward: backward writes only .grad,
+and a forward reads parameter values, never a gradient (`training.fit`
+overlaps a chunk's backward with the next forward this way).  Backward
+drops each node's vjp and parents once it has passed the node, so the
 intermediates held in vjp closures are freed during the pass; after
-backward a node keeps its data and grad.  Tensors are immutable once
+backward a node keeps its data and grad.  A `Tape(keep_nodes=False)` also
+lets go of each node as backward passes it, so the nodes nothing else
+holds are freed during the pass too.  Tensors are immutable once
 created and may be shared freely (parameters are plain leaf tensors reused
 across many tapes; their .grad accumulates across backward calls until an
 optimizer clears it).  A recorded node the loss does not reach keeps grad
@@ -169,10 +175,18 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of one forward pass, consumed by one backward pass."""
+    """Ordered record of one forward pass, consumed by one backward pass.
 
-    def __init__(self):
+    With keep_nodes=False, backward also takes each node off the tape once
+    it has passed it, so a node that nothing else holds is freed with its
+    value and gradient during the pass, not when the tape goes away.  A
+    backward then holds less and less, where one that keeps its nodes holds
+    about what the forward recorded to its end.
+    """
+
+    def __init__(self, keep_nodes: bool = True):
         self.nodes: list[Tensor] = []
+        self.keep_nodes = keep_nodes
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -189,7 +203,8 @@ class Tape:
         Leaf tensors with requires_grad=True receive (accumulate into) their
         .grad; constant leaves are skipped.  The loss must be a scalar node
         recorded on this tape, and a tape runs backward once.  Every recorded
-        node keeps its data and grad and loses its parents and vjp.  When two
+        node keeps its data and grad and loses its parents and vjp; without
+        `keep_nodes` the tape ends empty.  When two
         finite contributions to a recorded node's gradient sum to a
         non-finite value, the error names both ops.
         """
@@ -202,7 +217,12 @@ class Tape:
         self._consumed = True
 
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
+        if self.keep_nodes:
+            order = reversed(self.nodes)
+        else:
+            nodes, self.nodes = self.nodes, []
+            order = (nodes.pop() for _ in range(len(nodes)))
+        for node in order:
             # Release the closure and the links as the pass goes, so the
             # intermediates a vjp holds are freed once it has run.
             vjp, parents = node._vjp, node.parents

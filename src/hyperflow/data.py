@@ -151,12 +151,17 @@ def ingest(signals_path, edges_path) -> tuple[SignalTensor, RoadNetwork]:
         raise FileNotFoundError(f"signal file {signals_path} not found")
     if not sidecar.exists():
         raise FileNotFoundError(f"sidecar {sidecar} not found next to {signals_path}")
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except ValueError as err:  # malformed JSON or text that is not UTF-8
+        raise ValueError(f"{sidecar}: sidecar is not valid JSON: {err}") from err
     try:
         t, n, f = int(meta["T"]), int(meta["N"]), int(meta["F"])
         interval = int(meta.get("interval_minutes", 5))
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{sidecar}: sidecar must define integer T, N, F") from err
+    if min(t, n, f) < 1:
+        raise ValueError(f"{sidecar}: sidecar T, N, F must each be at least 1, got {t}, {n}, {f}")
 
     raw = np.frombuffer(signals_path.read_bytes(), dtype="<f4")
     if raw.size != t * n * f:

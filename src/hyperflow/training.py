@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +159,12 @@ def _chunks(samples, size: int):
     return [samples[i:i + size] for i in range(0, len(samples), size)]
 
 
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -165,17 +173,20 @@ def _usable_cpus() -> int:
 
 
 # Chunk state entries (lookback * N * windows per chunk * width) from which
-# `predict_batch` runs its chunks on several threads; see its docstring.
+# `predict_batch` runs its chunks on several threads and `fit` overlaps a
+# chunk's backward with the next chunk's forward; see their docstrings.
 THREADED_STATE_ENTRIES = 50_000
 
 
-def predict_workers(cfg, n_chunks: int) -> int:
-    """How many threads `predict_batch` runs `n_chunks` chunks on.
+def chunk_workers(cfg, n_chunks: int) -> int:
+    """How many threads `n_chunks` chunks of one call run on.
 
-    One, unless a chunk's state holds at least THREADED_STATE_ENTRIES
-    entries and numpy's bundled OpenBLAS runs at one thread
-    (`autodiff.BLAS_PINNED`); then one per usable CPU, at most one per
-    chunk.
+    `predict_batch` runs its chunks on this many threads, and `fit`
+    overlaps each chunk's backward with the next forward when a batch gets
+    more than one.  One, unless a chunk's state holds at least
+    THREADED_STATE_ENTRIES entries and numpy's bundled OpenBLAS runs at one
+    thread (`autodiff.BLAS_PINNED`); then one per usable CPU, at most one
+    per chunk.
     """
     entries = cfg.lookback * cfg.n_nodes * windows_per_chunk(cfg) * cfg.width
     if entries < THREADED_STATE_ENTRIES or not BLAS_PINNED:
@@ -187,7 +198,7 @@ def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
     """Stacked (n, horizon, N) normalized predictions, no recording,
     `windows_per_chunk` windows per forward.
 
-    The chunks run on `workers` threads (by default `predict_workers`), in
+    The chunks run on `workers` threads (by default `chunk_workers`), in
     a pool that lives for the call.  The output keeps the order of
     `samples` and equals the chunks run one after another, bit for bit.
     An error raised in a chunk reaches the caller, and every thread has
@@ -207,7 +218,7 @@ def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
     """
     chunks = _chunks(list(samples), windows_per_chunk(model.cfg))
     if workers is None:
-        workers = predict_workers(model.cfg, len(chunks))
+        workers = chunk_workers(model.cfg, len(chunks))
 
     def run(chunk):
         return model.predict(np.stack([s.input for s in chunk]))
@@ -229,6 +240,25 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
     the epoch, the val row a dedicated pass.  Parameters with the best
     validation MAE are restored at the end.  A non-finite value raises
     RuntimeError naming the epoch and the batch or the validation pass.
+
+    When `chunk_workers` gives a batch more than one thread, each chunk's
+    backward runs on one helper thread while the calling thread records
+    the next chunk's forward.  A backward starts only once the one before
+    it has finished, and the batch's last one before the optimizer step,
+    so gradients accumulate in chunk order and the run equals the serial
+    loop bit for bit; an error is the one the serial loop raises first.
+    The helper lives for the batch.
+
+    The two tapes are held at once while they overlap, and a forward
+    records its tape about twice as fast as a backward frees one (each
+    tape is made with keep_nodes=False, so its backward frees as it goes).
+    So each forward starts only when it is due to end about as the running
+    backward does, by the durations of the pair before (`lead`), and the
+    batch's second forward waits for the first backward to end.  At the
+    CLI default config and N=207 on 2 vCPUs, perfbench `train_large`
+    trained 1.26x as many windows per second as the serial loop (median
+    of 10 pairs), and its peak RSS rose from 171 MB to 187-200 MB in 21
+    of 22 runs, against 200-209 MB with every forward started at once.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.named_parameters(), lr=cfg.lr)
@@ -237,12 +267,34 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
 
     size = windows_per_chunk(model.cfg)
 
-    def run_chunk(chunk):
-        with Tape() as tape:
+    def forward(chunk):
+        """Record the chunk's forward and loss; return its backward."""
+        with Tape(keep_nodes=False) as tape:
             pred = model.forward(np.stack([s.input for s in chunk]))
             loss = mae_loss(pred, Tensor(np.stack([s.target for s in chunk])))
-        tape.backward(loss)
-        return pred.data
+        epoch_preds.extend(pred.data)
+        return functools.partial(tape.backward, loss)
+
+    def run_batch(batch):
+        chunks = _chunks(batch, size)
+        if chunk_workers(model.cfg, len(chunks)) == 1:
+            for chunk in chunks:
+                forward(chunk)()
+            return
+        with ThreadPoolExecutor(1) as helper:
+            running, lead = None, None  # the previous chunk's backward; see the docstring
+            for chunk in chunks:
+                if running is not None:
+                    wait([running], timeout=lead)
+                start = time.perf_counter()
+                try:
+                    backward = forward(chunk)
+                finally:
+                    if running is not None:  # the serial loop ran it before this forward
+                        took = time.perf_counter() - start
+                        lead = running.result() - took
+                running = helper.submit(_timed, backward)
+            running.result()
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_samples))
@@ -251,8 +303,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
             batch = [train_samples[i] for i in order[b0:b0 + cfg.batch_size]]
             opt.zero_grad()
             try:
-                for chunk in _chunks(batch, size):
-                    epoch_preds.extend(run_chunk(chunk))
+                run_batch(batch)
             except NumericError as err:
                 raise RuntimeError(
                     f"non-finite value at epoch {epoch}, batch {b0 // cfg.batch_size}: {err}"

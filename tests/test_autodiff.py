@@ -140,6 +140,43 @@ def test_backward_peak_stays_near_forward_memory():
     assert peak < 1.2 * held, (peak, held, peak / held)
 
 
+def test_backward_without_keep_nodes_frees_the_tape_as_it_goes():
+    # The same gradients bit for bit, and the tape's intermediates are
+    # freed during the pass: a node the caller holds keeps data and grad.
+    rng = np.random.default_rng(15)
+    n = 60
+    net = RoadNetwork(n, tuple((u, (u + k) % n, 1.0) for u in range(n) for k in (1, 2)))
+    model = Forecaster(ModelConfig(n_nodes=n, width=32, n_hyperedges=16), net, seed=3)
+    x, y = rng.normal(size=(12, n, 1)), rng.normal(size=(12, n))
+    model.predict(x)
+
+    def run(keep_nodes):
+        model.params = {name: Tensor(p.data, requires_grad=True) for name, p in model.params.items()}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape(keep_nodes=keep_nodes) as tape:
+                pred = model.forward(x)
+                loss = mae_loss(pred, Tensor(y))
+            held = tracemalloc.get_traced_memory()[0] - base
+            tape.backward(loss)
+            after = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        return tape, pred, after / held, {name: p.grad for name, p in model.params.items()}
+
+    kept, kept_pred, kept_share, kept_grads = run(True)
+    tape, pred, share, grads = run(False)
+    assert len(kept.nodes) > 0 and tape.nodes == []
+    assert kept_share > 0.9 and share < 0.2, (kept_share, share)
+    np.testing.assert_array_equal(pred.data, kept_pred.data)
+    np.testing.assert_array_equal(pred.grad, kept_pred.grad)
+    for name, g in kept_grads.items():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
+    with pytest.raises(RuntimeError, match="already ran"):
+        tape.backward(pred)
+
+
 def test_backward_zero_residual_mae_has_zero_gradient():
     y = np.array([1.0, -2.0, 3.0])
     pred = Tensor(y.copy(), requires_grad=True)

@@ -161,6 +161,20 @@ def test_ingest_rejects_size_mismatch(tmp_path):
         ingest(tmp_path / "signals.bin", tmp_path / "edges.csv")
 
 
+@pytest.mark.parametrize("sidecar, message", [
+    ("{T: 3}", "sidecar is not valid JSON: "),
+    ('{"T": -2, "N": -3, "F": 1}', "sidecar T, N, F must each be at least 1, got -2, -3, 1"),
+    ('{"T": 0, "N": 2, "F": 1}', "sidecar T, N, F must each be at least 1, got 0, 2, 1"),
+    ('{"T": 3, "N": 2, "F": 0}', "sidecar T, N, F must each be at least 1, got 3, 2, 0"),
+])
+def test_ingest_names_the_sidecar_it_rejects(tmp_path, sidecar, message):
+    (tmp_path / "signals.bin").write_bytes(np.zeros(6, dtype="<f4").tobytes())
+    (tmp_path / "signals.json").write_text(sidecar)
+    (tmp_path / "edges.csv").write_text("from,to,weight\n")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'signals.json'}: {message}")):
+        ingest(tmp_path / "signals.bin", tmp_path / "edges.csv")
+
+
 def test_ingest_rejects_edge_outside_range(tmp_path):
     save_signals(SignalTensor(np.zeros((4, 2, 1))), tmp_path / "signals.bin", tmp_path / "signals.json")
     (tmp_path / "edges.csv").write_text("from,to,weight\n0,1,1.0\n5,1,1.0\n")

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,17 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 import hyperflow as hf
 from hyperflow import oracles, training
-from hyperflow.autodiff import Tape, Tensor
+from hyperflow.autodiff import NumericError, Tape, Tensor
 from hyperflow.model import Forecaster, ModelConfig
 from hyperflow.training import (
     Adam,
     TrainConfig,
+    chunk_workers,
     evaluate,
     fit,
     ha_baseline,
     mae_loss,
     predict_batch,
-    predict_workers,
     split_dataset,
     windows_per_chunk,
     write_history_csv,
@@ -221,20 +222,20 @@ def test_threaded_predict_oracle(seed):
     assert result.passed, result.line()
 
 
-def test_predict_workers_rule(monkeypatch):
+def test_chunk_workers_rule(monkeypatch):
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     skill = ModelConfig(n_nodes=30, width=16, n_hyperedges=8, windows=(1, 2, 3),
                         encoder_layers=2, scale_iters=2)  # 28,800 state entries
-    assert predict_workers(skill, 10) == 1
+    assert chunk_workers(skill, 10) == 1
     default = ModelConfig(n_nodes=207)  # 158,976 state entries
     monkeypatch.setattr(training, "BLAS_PINNED", True)
-    assert predict_workers(default, 10) == 2
-    assert predict_workers(default, 1) == 1
+    assert chunk_workers(default, 10) == 2
+    assert chunk_workers(default, 1) == 1
     monkeypatch.setattr(training, "BLAS_PINNED", False)
-    assert predict_workers(default, 10) == 1
+    assert chunk_workers(default, 10) == 1
     monkeypatch.setattr(training, "BLAS_PINNED", True)
     monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
-    assert predict_workers(default, 10) == 1
+    assert chunk_workers(default, 10) == 1
 
 
 def _threads_seen(model, monkeypatch, fail_on_windows=None):
@@ -255,7 +256,7 @@ def _threads_seen(model, monkeypatch, fail_on_windows=None):
 
 def test_predict_batch_below_threshold_starts_no_thread(monkeypatch):
     model, samples = chunk_setup(seed=7)
-    assert predict_workers(model.cfg, 3) == 1
+    assert chunk_workers(model.cfg, 3) == 1
     seen = _threads_seen(model, monkeypatch)
     predict_batch(model, samples[:12])
     assert seen == [threading.get_ident()] * 3
@@ -347,6 +348,120 @@ def test_fit_names_the_epoch_of_a_non_finite_validation_pass():
                                            "non-finite values produced by "):
         fit(model, prep.train, prep.val, TrainConfig(epochs=1, batch_size=4, lr=1e300),
             stats=prep.stats)
+
+
+TAPE_BACKWARD = Tape.backward  # unwrapped, however often a test patches it
+
+
+def _force_overlap(monkeypatch, on: bool):
+    """Pass or fail `chunk_workers`'s size test, with 2 CPUs and OpenBLAS pinned."""
+    monkeypatch.setattr(training, "THREADED_STATE_ENTRIES", 0 if on else 10 ** 12)
+    monkeypatch.setattr(training, "BLAS_PINNED", True)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+
+
+def _instrument_fit(monkeypatch, model, log, failing=(), sleep=0.0):
+    """Wrap every Tape.backward and model.forward call: it sleeps `sleep`
+    seconds (the GIL is free meanwhile), raises NumericError if `failing`
+    names it, as ("forward", k) or ("backward", k) counted from 0, and is
+    appended to `log` as (kind, thread, start, end)."""
+    calls = {"forward": 0, "backward": 0}
+
+    def wrap(kind, call):
+        def wrapper(*args):
+            start = time.perf_counter()
+            k = calls[kind]
+            calls[kind] += 1
+            try:
+                time.sleep(sleep)
+                if (kind, k) in failing:
+                    raise NumericError(f"{kind} {k} failed")
+                return call(*args)
+            finally:
+                log.append((kind, threading.get_ident(), start, time.perf_counter()))
+        return wrapper
+
+    monkeypatch.setattr(Tape, "backward", wrap("backward", TAPE_BACKWARD))
+    monkeypatch.setattr(model, "forward", wrap("forward", model.forward))
+
+
+def _threads(log, kind):
+    return [thread for k, thread, _, _ in log if k == kind]
+
+
+def _overlapped(log):
+    """Whether a forward ran while a backward did."""
+    spans = {kind: [(start, end) for k, _, start, end in log if k == kind]
+             for kind in ("forward", "backward")}
+    return any(f0 < b1 and b0 < f1 for f0, f1 in spans["forward"] for b0, b1 in spans["backward"])
+
+
+def _fit_chunked(monkeypatch, overlap: bool, log: list, **instrument):
+    """Two epochs of two batches of 12 windows (chunks of 5, 5 and 2)."""
+    _force_overlap(monkeypatch, overlap)
+    model, samples = chunk_setup(seed=12)
+    _instrument_fit(monkeypatch, model, log, **instrument)
+    stats = hf.NormStats(mean=np.zeros(1), std=np.ones(1))
+    result = fit(model, samples[:24], samples[24:30],
+                 TrainConfig(epochs=2, batch_size=12, lr=0.01, seed=3), stats=stats)
+    return result, model.state()
+
+
+def test_overlapped_fit_equals_serial_bit_for_bit(monkeypatch):
+    serial_log, log = [], []
+    serial, serial_state = _fit_chunked(monkeypatch, False, serial_log, sleep=0.005)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        overlapped, state = _fit_chunked(monkeypatch, True, log, sleep=0.005)
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(_threads(serial_log, "backward")) == {threading.get_ident()}
+    assert not _overlapped(serial_log)
+    backward_threads = _threads(log, "backward")
+    assert len(backward_threads) == 12 and threading.get_ident() not in backward_threads
+    assert _overlapped(log)
+    assert overlapped.history == serial.history
+    assert overlapped.best_val_mae == serial.best_val_mae
+    for name, arr in serial_state.items():
+        np.testing.assert_array_equal(state[name], arr, err_msg=name)
+
+
+def test_fit_below_threshold_runs_every_backward_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(training, "BLAS_PINNED", True)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    model, samples = chunk_setup(seed=12)  # 14,400 state entries
+    assert chunk_workers(model.cfg, 3) == 1
+    log = []
+    _instrument_fit(monkeypatch, model, log)
+    before = threading.active_count()
+    fit(model, samples[:12], [], TrainConfig(epochs=1, batch_size=12, seed=0),
+        stats=hf.NormStats(mean=np.zeros(1), std=np.ones(1)))
+    assert _threads(log, "backward") == [threading.get_ident()] * 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing, message", [
+    # a backward on the helper thread
+    ({("backward", 1)}, "batch 0: backward 1 failed"),
+    # a forward while the previous backward is in flight
+    ({("forward", 2)}, "batch 0: forward 2 failed"),
+    # both: the serial loop ran the backward first
+    ({("backward", 1), ("forward", 2)}, "batch 0: backward 1 failed"),
+    # the batch's last backward, drained before the optimizer step
+    ({("backward", 5)}, "batch 1: backward 5 failed"),
+])
+def test_overlapped_fit_raises_the_serial_error_and_joins(monkeypatch, failing, message):
+    before = threading.active_count()
+    errors = []
+    for overlap in (False, True):
+        log = []
+        with pytest.raises(RuntimeError) as info:
+            _fit_chunked(monkeypatch, overlap, log, failing=failing, sleep=0.02)
+        errors.append(str(info.value))
+        assert threading.active_count() == before
+        assert _overlapped(log) == overlap
+    assert errors[0] == errors[1] == f"non-finite value at epoch 0, {message}"
 
 
 def test_history_csv_format(tmp_path):
