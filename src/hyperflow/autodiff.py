@@ -13,14 +13,13 @@ block has exited, another thread may run that backward while the
 recording thread records the next forward: backward writes only .grad,
 and a forward reads parameter values, never a gradient (`training.fit`
 overlaps a chunk's backward with the next forward this way).  Backward
-drops each node's vjp and parents once it has passed the node, so the
-intermediates held in vjp closures are freed during the pass; after
-backward a node keeps its data and grad.  A `Tape(keep_nodes=False)` also
-lets go of each node as backward passes it, so the nodes nothing else
-holds are freed during the pass too.  Tensors are immutable once
-created and may be shared freely (parameters are plain leaf tensors reused
-across many tapes; their .grad accumulates across backward calls until an
-optimizer clears it).  A recorded node the loss does not reach keeps grad
+takes each node off the tape and drops its vjp and parents once it has
+passed the node, so the intermediates held in vjp closures, and the nodes
+nothing else holds, are freed during the pass; the tape ends empty, and a
+node the caller still holds keeps its data and grad.  Tensors are
+immutable once created and may be shared freely (parameters are plain
+leaf tensors reused across many tapes; their .grad accumulates across
+backward calls until an optimizer clears it).  A recorded node the loss does not reach keeps grad
 None.
 
 Only ops run while a tape is active record a graph.  Outside a tape an op
@@ -175,18 +174,10 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of one forward pass, consumed by one backward pass.
+    """Ordered record of one forward pass, consumed by one backward pass."""
 
-    With keep_nodes=False, backward also takes each node off the tape once
-    it has passed it, so a node that nothing else holds is freed with its
-    value and gradient during the pass, not when the tape goes away.  A
-    backward then holds less and less, where one that keeps its nodes holds
-    about what the forward recorded to its end.
-    """
-
-    def __init__(self, keep_nodes: bool = True):
+    def __init__(self):
         self.nodes: list[Tensor] = []
-        self.keep_nodes = keep_nodes
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -202,11 +193,12 @@ class Tape:
 
         Leaf tensors with requires_grad=True receive (accumulate into) their
         .grad; constant leaves are skipped.  The loss must be a scalar node
-        recorded on this tape, and a tape runs backward once.  Every recorded
-        node keeps its data and grad and loses its parents and vjp; without
-        `keep_nodes` the tape ends empty.  When two
-        finite contributions to a recorded node's gradient sum to a
-        non-finite value, the error names both ops.
+        recorded on this tape, and a tape runs backward once.  The tape ends
+        empty: each node is taken off it once passed, so a node nothing else
+        holds is freed with its value and gradient during the pass, and one
+        the caller holds keeps its data and grad and loses its parents and
+        vjp.  When two finite contributions to a recorded node's gradient sum
+        to a non-finite value, the error names both ops.
         """
         if self._consumed:
             raise RuntimeError("backward already ran on this tape")
@@ -217,14 +209,11 @@ class Tape:
         self._consumed = True
 
         loss.grad = np.ones_like(loss.data)
-        if self.keep_nodes:
-            order = reversed(self.nodes)
-        else:
-            nodes, self.nodes = self.nodes, []
-            order = (nodes.pop() for _ in range(len(nodes)))
-        for node in order:
-            # Release the closure and the links as the pass goes, so the
-            # intermediates a vjp holds are freed once it has run.
+        nodes, self.nodes = self.nodes, []
+        while nodes:
+            # Release the node, its closure and its links as the pass goes,
+            # so the intermediates a vjp holds are freed once it has run.
+            node = nodes.pop()
             vjp, parents = node._vjp, node.parents
             node._vjp, node.parents = None, ()
             if node.grad is None:

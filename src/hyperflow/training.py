@@ -6,8 +6,7 @@ import csv
 import functools
 import math
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,12 +158,6 @@ def _chunks(samples, size: int):
     return [samples[i:i + size] for i in range(0, len(samples), size)]
 
 
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -247,18 +240,8 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
     it has finished, and the batch's last one before the optimizer step,
     so gradients accumulate in chunk order and the run equals the serial
     loop bit for bit; an error is the one the serial loop raises first.
-    The helper lives for the batch.
-
-    The two tapes are held at once while they overlap, and a forward
-    records its tape about twice as fast as a backward frees one (each
-    tape is made with keep_nodes=False, so its backward frees as it goes).
-    So each forward starts only when it is due to end about as the running
-    backward does, by the durations of the pair before (`lead`), and the
-    batch's second forward waits for the first backward to end.  At the
-    CLI default config and N=207 on 2 vCPUs, perfbench `train_large`
-    trained 1.26x as many windows per second as the serial loop (median
-    of 10 pairs), and its peak RSS rose from 171 MB to 187-200 MB in 21
-    of 22 runs, against 200-209 MB with every forward started at once.
+    The helper lives for the batch.  Two tapes are held while they
+    overlap, the running backward's shrinking as it goes.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.named_parameters(), lr=cfg.lr)
@@ -269,7 +252,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
 
     def forward(chunk):
         """Record the chunk's forward and loss; return its backward."""
-        with Tape(keep_nodes=False) as tape:
+        with Tape() as tape:
             pred = model.forward(np.stack([s.input for s in chunk]))
             loss = mae_loss(pred, Tensor(np.stack([s.target for s in chunk])))
         epoch_preds.extend(pred.data)
@@ -282,18 +265,14 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
                 forward(chunk)()
             return
         with ThreadPoolExecutor(1) as helper:
-            running, lead = None, None  # the previous chunk's backward; see the docstring
+            running = None  # the previous chunk's backward
             for chunk in chunks:
-                if running is not None:
-                    wait([running], timeout=lead)
-                start = time.perf_counter()
                 try:
                     backward = forward(chunk)
                 finally:
                     if running is not None:  # the serial loop ran it before this forward
-                        took = time.perf_counter() - start
-                        lead = running.result() - took
-                running = helper.submit(_timed, backward)
+                        running.result()
+                running = helper.submit(backward)
             running.result()
 
     for epoch in range(cfg.epochs):

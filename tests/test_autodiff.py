@@ -104,16 +104,18 @@ def test_backward_releases_closures():
         z = ref.hadamard(y, y)
         loss = ref.sum_all(z)
         ref.scale(x, 3.0)  # recorded, not reached by the loss
-    values = [node.data.copy() for node in tape.nodes]
+    nodes = list(tape.nodes)
+    values = [node.data.copy() for node in nodes]
     tape.backward(loss)
-    for node, value in zip(tape.nodes, values):
+    assert tape.nodes == []
+    for node, value in zip(nodes, values):
         assert node._vjp is None and node.parents == (), node.op
         np.testing.assert_array_equal(node.data, value)
     np.testing.assert_array_equal(loss.grad, 1.0)
     np.testing.assert_array_equal(z.grad, [1.0, 1.0])
     np.testing.assert_array_equal(y.grad, [4.0, -12.0])
     np.testing.assert_array_equal(x.grad, [8.0, -24.0])
-    assert tape.nodes[-1].grad is None
+    assert nodes[-1].grad is None
 
 
 def test_backward_peak_stays_near_forward_memory():
@@ -140,9 +142,10 @@ def test_backward_peak_stays_near_forward_memory():
     assert peak < 1.2 * held, (peak, held, peak / held)
 
 
-def test_backward_without_keep_nodes_frees_the_tape_as_it_goes():
-    # The same gradients bit for bit, and the tape's intermediates are
-    # freed during the pass: a node the caller holds keeps data and grad.
+def test_backward_frees_the_tape_as_it_goes():
+    # Backward takes each node off the tape once passed, so what only the
+    # tape held is freed during the pass; holding every node keeps it, with
+    # the same gradients bit for bit.
     rng = np.random.default_rng(15)
     n = 60
     net = RoadNetwork(n, tuple((u, (u + k) % n, 1.0) for u in range(n) for k in (1, 2)))
@@ -150,24 +153,25 @@ def test_backward_without_keep_nodes_frees_the_tape_as_it_goes():
     x, y = rng.normal(size=(12, n, 1)), rng.normal(size=(12, n))
     model.predict(x)
 
-    def run(keep_nodes):
+    def run(hold_nodes):
         model.params = {name: Tensor(p.data, requires_grad=True) for name, p in model.params.items()}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            with Tape(keep_nodes=keep_nodes) as tape:
+            with Tape() as tape:
                 pred = model.forward(x)
                 loss = mae_loss(pred, Tensor(y))
             held = tracemalloc.get_traced_memory()[0] - base
+            nodes = list(tape.nodes) if hold_nodes else []
             tape.backward(loss)
             after = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
+        assert tape.nodes == [] and bool(nodes) == hold_nodes
         return tape, pred, after / held, {name: p.grad for name, p in model.params.items()}
 
-    kept, kept_pred, kept_share, kept_grads = run(True)
+    _, kept_pred, kept_share, kept_grads = run(True)
     tape, pred, share, grads = run(False)
-    assert len(kept.nodes) > 0 and tape.nodes == []
     assert kept_share > 0.9 and share < 0.2, (kept_share, share)
     np.testing.assert_array_equal(pred.data, kept_pred.data)
     np.testing.assert_array_equal(pred.grad, kept_pred.grad)
@@ -234,8 +238,9 @@ def test_backward_gradient_shapes_match_values():
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     with Tape() as tape:
         loss = ref.sum_all(ref.relu(ad.matmul(a, Tensor(rng.normal(size=(3, 2))))))
+    nodes = list(tape.nodes)
     tape.backward(loss)
-    for node in tape.nodes:
+    for node in nodes:
         assert node.grad is not None and node.grad.shape == node.data.shape
 
 
@@ -258,9 +263,9 @@ def test_untaped_ops_record_no_graph():
     const = ad.matmul(x, w)  # used inside a tape, it is a constant
     with Tape() as tape:
         loss = ref.sum_all(ref.hadamard(const, ref.scale(const, 1.0)))
+    assert [node.op for node in tape.nodes] == ["scale", "hadamard", "sum_all"]
     tape.backward(loss)
     assert x.grad is None and w.grad is None and const.grad is None
-    assert [node.op for node in tape.nodes] == ["scale", "hadamard", "sum_all"]
 
 
 def test_backward_shared_gradients_are_never_written_in_place():
@@ -271,15 +276,16 @@ def test_backward_shared_gradients_are_never_written_in_place():
         doubled = ref.add(y, y)
         total = ref.add(doubled, x)  # the leaf's first contribution is a shared array
         loss = ref.sum_all(total)
+    nodes = list(tape.nodes)
     tape.backward(loss)
     np.testing.assert_array_equal(y.grad, np.full((2, 3), 2.0))
     np.testing.assert_array_equal(doubled.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(total.grad, np.ones((2, 3)))
     np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
-    before = [node.grad.copy() for node in tape.nodes]
+    before = [node.grad.copy() for node in nodes]
     x.grad += 100.0
     x.grad[0, 0] = -1.0
-    for node, grad in zip(tape.nodes, before):
+    for node, grad in zip(nodes, before):
         np.testing.assert_array_equal(node.grad, grad)
 
 
@@ -473,11 +479,12 @@ def test_model_records_every_autodiff_op(chunked, monkeypatch):
             return grads
         return wrapped
 
+    recorded = [node.op for node in tape.nodes]
     for node in tape.nodes:
         node._vjp = checking(node.op, node.parents, node._vjp)
     tape.backward(loss)
     assert callers == defined, (sorted(defined - callers), sorted(callers - defined))
-    assert sorted(checked) == sorted(node.op for node in tape.nodes)
+    assert sorted(checked) == sorted(recorded)
 
 
 # ---------------------------------------------------------------------------
