@@ -16,11 +16,12 @@ overlaps a chunk's backward with the next forward this way).  Backward
 takes each node off the tape and drops its vjp and parents once it has
 passed the node, so the intermediates held in vjp closures, and the nodes
 nothing else holds, are freed during the pass; the tape ends empty, and a
-node the caller still holds keeps its data and grad.  Tensors are
-immutable once created and may be shared freely (parameters are plain
-leaf tensors reused across many tapes; their .grad accumulates across
-backward calls until an optimizer clears it).  A recorded node the loss does not reach keeps grad
-None.
+node the caller still holds keeps its data and grad.  Tensors may be
+shared freely; only parameters change.  A model's parameters are views into
+`Forecaster.flat` and `Forecaster.grad`, never rebound: their .grad
+accumulates in place until the optimizer zeroes it, and `training.Adam`
+steps their values in place only once the batch's backwards have finished.
+A recorded node the loss does not reach keeps grad None.
 
 Only ops run while a tape is active record a graph.  Outside a tape an op
 returns a constant (no parents, no vjp), so a forward-only pass frees each

@@ -158,9 +158,11 @@ class Forecaster:
     """Bundles config, parameters, and the per-scale temporal graphs.
 
     `params` maps each checkpoint name (see `init_params`) to its tensor;
-    the forward pass looks every weight up there.  The temporal graphs
-    depend only on the road network and the lookback, so they are built
-    once and shared across every forward pass.
+    the forward pass looks every weight up there.  Each tensor's .data and
+    .grad are views, in `init_params` order, into the float64 vectors `flat`
+    and `grad`, which the optimizer steps and zeroes in place.  The temporal
+    graphs depend only on the road network and the lookback, so they are
+    built once and shared across every forward pass.
     """
 
     def __init__(self, cfg: ModelConfig, net: RoadNetwork, seed: int = 0):
@@ -177,6 +179,13 @@ class Forecaster:
             else:
                 self.scale_graphs[eps] = temporal_graph(net, steps)
         self.params = init_params(cfg, np.random.default_rng(seed))
+        self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
+        self.grad = np.zeros_like(self.flat)
+        start = 0
+        for t in self.params.values():
+            stop = start + t.size
+            t.data, t.grad = self.flat[start:stop].reshape(t.shape), self.grad[start:stop].reshape(t.shape)
+            start = stop
 
     def forward(self, x: np.ndarray, capture: dict | None = None) -> Tensor:
         """Predict the normalized flow horizon for one or several input windows.
@@ -221,13 +230,11 @@ class Forecaster:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Overwrite every parameter from `state`, or none if any is missing, misshapen or non-finite."""
         missing = sorted(set(self.params) - set(state))
         extra = sorted(set(state) - set(self.params))
         if missing or extra:
@@ -236,4 +243,6 @@ class Forecaster:
             arr = np.asarray(state[name], dtype=tensor.data.dtype)
             if arr.shape != tensor.data.shape:
                 raise ValueError(f"{name}: checkpoint shape {arr.shape} vs model {tensor.data.shape}")
-            tensor.data = arr.copy()
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name}: checkpoint holds non-finite values")
+        np.concatenate([np.ravel(state[name]) for name in self.params], out=self.flat)

@@ -59,8 +59,7 @@ def live_path_point(model: Forecaster, rng: np.random.Generator) -> tuple[np.nda
     checks.
     """
     cfg = model.cfg
-    for _, t in model.named_parameters():
-        t.data = np.abs(t.data) + 0.01
+    model.flat[:] = np.abs(model.flat) + 0.01
     x = rng.uniform(0.5, 1.5, size=(cfg.lookback, cfg.n_nodes, cfg.n_features))
     y = model.predict(x) - rng.uniform(0.5, 1.5, size=(cfg.horizon, cfg.n_nodes))
     return x, y
@@ -292,14 +291,12 @@ def check_adam(seed: int) -> list[OracleResult]:
     rng = np.random.default_rng(seed)
     theta = rng.normal(size=(3, 2))
     grad = rng.normal(size=(3, 2))
-    p = Tensor(theta.copy(), requires_grad=True)
-    p.grad = grad.copy()
-    opt = Adam([("p", p)], lr=0.1)
-    opt.step()
+    p = theta.copy()
+    Adam(p, grad, lr=0.1).step()
     m = 0.1 * grad
     v = 0.001 * grad ** 2
     expected = theta - 0.1 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
-    return [OracleResult("adam", "closed_form_step", 1e-12, float(np.max(np.abs(p.data - expected))))]
+    return [OracleResult("adam", "closed_form_step", 1e-12, float(np.max(np.abs(p - expected))))]
 
 
 def check_threaded_predict(seed: int) -> list[OracleResult]:

@@ -121,30 +121,27 @@ def ha_baseline(window_flow: np.ndarray, horizon: int) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction, matching the standard update rule."""
+    """Adam with bias correction, matching the standard update rule.  `step`
+    updates `params` in place from `grad`, two arrays of one shape such as
+    a model's `flat` and `grad`."""
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float):
-        self.params = list(named_params)
+    def __init__(self, params: np.ndarray, grad: np.ndarray, lr: float):
+        self.params, self.grad = params, grad
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
 
     def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
 
     def step(self, grad_scale: float = 1.0) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in self.params:
-            g = (p.grad if p.grad is not None else np.zeros_like(p.data)) * grad_scale
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g ** 2
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = self.grad * grad_scale
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g ** 2
+        self.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -238,13 +235,14 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
     backward runs on one helper thread while the calling thread records
     the next chunk's forward.  A backward starts only once the one before
     it has finished, and the batch's last one before the optimizer step,
-    so gradients accumulate in chunk order and the run equals the serial
-    loop bit for bit; an error is the one the serial loop raises first.
-    The helper lives for the batch.  Two tapes are held while they
-    overlap, the running backward's shrinking as it goes.
+    so gradients accumulate in chunk order, no vjp reads a parameter the
+    step has written, and the run equals the serial loop bit for bit; an
+    error is the one the serial loop raises first.  The helper lives for
+    the batch.  Two tapes are held while they overlap, the running
+    backward's shrinking as it goes.
     """
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.named_parameters(), lr=cfg.lr)
+    opt = Adam(model.flat, model.grad, lr=cfg.lr)
     result = FitResult()
     best_state = None
 
@@ -306,12 +304,12 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
             result.history.append((epoch, "val", val_report))
             if result.best_val_mae is None or val_report.mae < result.best_val_mae:
                 result.best_val_mae = val_report.mae
-                best_state = model.state()
+                best_state = model.flat.copy()
         if on_epoch is not None:
             on_epoch(epoch, train_report, val_report)
 
     if best_state is not None:
-        model.load_state(best_state)
+        model.flat[:] = best_state
     return result
 
 

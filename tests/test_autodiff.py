@@ -400,7 +400,7 @@ def test_nonfinite_inside_fused_op_identifies_op(op, param):
     cfg = ModelConfig(n_nodes=3, lookback=4, horizon=2, width=4, n_hyperedges=2, windows=(1,),
                       encoder_layers=1, scale_iters=1)
     model = Forecaster(cfg, RoadNetwork(3, ((0, 1, 1.0),)), seed=0)
-    model.params[param].data = np.full(model.params[param].shape, np.inf)
+    model.params[param].data[...] = np.inf  # in place: parameters are views of model.flat
     samples = [SimpleNamespace(input=sig[i:i + 4], target=sig[i + 4:i + 6, :, 0]) for i in range(3)]
     with pytest.raises(RuntimeError, match=f"epoch 0, batch 0: .*produced by {op}"):
         fit(model, samples, [], TrainConfig(epochs=1, batch_size=2, seed=0), stats=NormStats([0.0], [1.0]))

@@ -342,6 +342,19 @@ def test_export_incidence_zero_parameters_gives_zero_values(synth_dir, trained_d
     assert values and all(v == 0.0 for v in values)
 
 
+def test_predict_rejects_a_non_finite_checkpoint_by_tensor(synth_dir, trained_dir, tmp_path, capsys):
+    meta, tensors = load_checkpoint(trained_dir / "model.ckpt")
+    tensors["readout_b"][-1] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, meta, tensors)
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", "--data", str(synth_dir / "signals.bin"),
+               "--edges", str(synth_dir / "edges.csv"),
+               "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: readout_b: checkpoint holds non-finite values"]
+
+
 def test_failed_export_incidence_keeps_previous_csv(synth_dir, trained_dir, tmp_path,
                                                     disk_fills_after, capsys):
     out_dir = tmp_path / "out"

@@ -285,6 +285,25 @@ def test_load_state_rejects_mismatches():
         model.load_state(state)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("readout_b", np.zeros(3), r"readout_b: checkpoint shape \(3,\) vs model \(2,\)"),
+    ("readout_b", np.array([0.0, np.nan]), "readout_b: checkpoint holds non-finite values"),
+    ("readout_w", np.full((8, 2), -np.inf), "readout_w: checkpoint holds non-finite values"),
+], ids=["shape", "nan", "inf"])
+def test_load_state_loads_all_or_nothing(name, value, message):
+    # readout_w and readout_b come last in init_params order, so the other
+    # tensors pass their checks first, and still none is written.  Every
+    # tensor is moved by 1, so a partial write would show.
+    rng = np.random.default_rng(14)
+    model = tiny_model(rng)
+    before = model.flat.copy()
+    state = {key: arr + 1.0 for key, arr in model.state().items()}
+    state[name] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model.load_state(state)
+    assert model.flat.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("field", ["n_hyperedges", "width", "encoder_layers"])
 def test_config_rejects_zero_sizes(field):
     with pytest.raises(ValueError, match=field):

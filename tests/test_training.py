@@ -131,30 +131,30 @@ def test_adam_single_step_closed_form():
     rng = np.random.default_rng(1)
     theta = rng.normal(size=(4, 3))
     grad = rng.normal(size=(4, 3))
-    p = Tensor(theta.copy(), requires_grad=True)
-    p.grad = grad.copy()
-    opt = Adam([("p", p)], lr=0.05)
-    opt.step()
+    # one more entry with a zero gradient, which must not move at all
+    params = np.append(theta, 0.7)
+    Adam(params, np.append(grad, 0.0), lr=0.05).step()
     m_hat = (0.1 * grad) / (1 - 0.9)
     v_hat = (0.001 * grad ** 2) / (1 - 0.999)
     expected = theta - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    np.testing.assert_allclose(p.data, expected, atol=1e-12)
+    np.testing.assert_allclose(params[:-1], expected.ravel(), atol=1e-12)
+    assert params[-1] == 0.7
 
 
 def test_adam_two_steps_closed_form():
     theta = np.array([1.0])
-    p = Tensor(theta.copy(), requires_grad=True)
-    opt = Adam([("p", p)], lr=0.1)
+    params, grad = theta.copy(), np.zeros(1)
+    opt = Adam(params, grad, lr=0.1)
     m = v = 0.0
     ref = theta[0]
     for step in range(1, 3):
         g = 0.5 * step
-        p.grad = np.array([g])
+        grad[0] = g
         opt.step()
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         ref -= 0.1 * (m / (1 - 0.9 ** step)) / (np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
-    np.testing.assert_allclose(p.data, [ref], atol=1e-12)
+    np.testing.assert_allclose(params, [ref], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +193,23 @@ def test_chunk_gradients_match_per_window_sum():
 
     def gradients(pairs):
         losses = []
-        for _, p in model.named_parameters():
-            p.grad = None
+        model.grad.fill(0.0)
         for x, y in pairs:
             with Tape() as tape:
                 loss = mae_loss(model.forward(x), Tensor(y))
             tape.backward(loss)
             losses.append(float(loss.data))
-        return sum(losses), {name: p.grad.copy() for name, p in model.named_parameters()}
+        return sum(losses), model.grad.copy()
 
     chunk_loss, chunk = gradients([(xs, ys)])
     window_loss, per_window = gradients(zip(xs, ys))
     assert abs(chunk_loss - window_loss) <= 1e-12 * window_loss
-    for name, g in per_window.items():
-        assert np.max(np.abs(chunk[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+    start = 0
+    for name, p in model.params.items():  # each parameter at its own scale
+        stop = start + p.size
+        g = per_window[start:stop]
+        assert np.max(np.abs(chunk[start:stop] - g)) <= 1e-12 * np.max(np.abs(g)), name
+        start = stop
 
 
 def test_predict_batch_matches_per_window_predict():
@@ -319,10 +322,16 @@ def test_fit_is_bit_reproducible():
 
 def test_fit_restores_best_validation_parameters():
     model, samples, stats = overfit_setup(seed=4)
-    result = fit(model, samples[:3], samples[3:], TrainConfig(epochs=4, batch_size=4, seed=1),
+    train, val = samples[:3], samples[3:]
+    result = fit(model, train, val, TrainConfig(epochs=6, batch_size=4, lr=0.05, seed=1),
                  stats=stats)
     val_maes = [rep.mae for _, split, rep in result.history if split == "val"]
     assert result.best_val_mae == pytest.approx(min(val_maes))
+    # The best epoch is not the last, so fit must have moved the model back.
+    assert val_maes.index(result.best_val_mae) < len(val_maes) - 1
+    restored = evaluate(stats.invert_flow(predict_batch(model, val)),
+                        stats.invert_flow(np.stack([s.target for s in val])))
+    assert restored.mae == result.best_val_mae
 
 
 def test_fit_decreases_training_loss():
@@ -425,6 +434,26 @@ def test_overlapped_fit_equals_serial_bit_for_bit(monkeypatch):
     assert overlapped.best_val_mae == serial.best_val_mae
     for name, arr in serial_state.items():
         np.testing.assert_array_equal(state[name], arr, err_msg=name)
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlapped"])
+def test_parameters_stay_views_of_the_flat_vectors(monkeypatch, overlap):
+    # Adam writes model.flat in place, so a parameter rebound anywhere on
+    # either fit path would silently stop training.
+    _force_overlap(monkeypatch, overlap)
+    model, samples = chunk_setup(seed=12)
+    assert chunk_workers(model.cfg, 3) == (2 if overlap else 1)
+    fit(model, samples[:24], samples[24:30], TrainConfig(epochs=2, batch_size=12, lr=0.01, seed=3),
+        stats=hf.NormStats(mean=np.zeros(1), std=np.ones(1)))
+    start = 0
+    for name, p in model.params.items():  # in init_params order, back to back
+        for view, vector in ((p.data, model.flat), (p.grad, model.grad)):
+            assert np.shares_memory(view, vector) and view.ctypes.data == vector[start:].ctypes.data, name
+        start += p.size
+    assert start == model.flat.size == model.grad.size
+    twin = Forecaster(model.cfg, model.net, seed=99)
+    twin.load_state(model.state())
+    assert twin.flat.tobytes() == model.flat.tobytes()
 
 
 def test_fit_below_threshold_runs_every_backward_on_the_calling_thread(monkeypatch):
