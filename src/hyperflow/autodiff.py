@@ -8,19 +8,16 @@ are irrelevant.
 
 Ops take Tensors; wrap a raw array in Tensor() first.  A tape is
 single-writer: one forward pass records onto it and one backward() consumes
-it, and a second backward on the same tape is an error.  Once its `with`
-block has exited, another thread may run that backward while the
-recording thread records the next forward: backward writes only .grad,
-and a forward reads parameter values, never a gradient (`training.fit`
-overlaps a chunk's backward with the next forward this way).  Backward
+it, and a second backward on the same tape is an error.  Backward
 takes each node off the tape and drops its vjp and parents once it has
 passed the node, so the intermediates held in vjp closures, and the nodes
 nothing else holds, are freed during the pass; the tape ends empty, and a
 node the caller still holds keeps its data and grad.  Tensors may be
-shared freely; only parameters change.  A model's parameters are views into
-`Forecaster.flat` and `Forecaster.grad`, never rebound: their .grad
-accumulates in place until the optimizer zeroes it, and `training.Adam`
-steps their values in place only once the batch's backwards have finished.
+shared freely; only parameters change.  A model's parameter values are
+views into `Forecaster.flat`, never rebound, and `training.Adam` steps
+them in place only once the batch's backwards have finished.  Their .grad
+are views into one (P,) vector, `Forecaster.grad` or, in `training.fit`,
+the running chunk's gradient row, and accumulate in place.
 A recorded node the loss does not reach keeps grad None.
 
 Only ops run while a tape is active record a graph.  Outside a tape an op
@@ -58,10 +55,11 @@ N=207 on two threads.  Without glibc it does nothing.
 
 Importing this module also holds numpy's bundled OpenBLAS to one thread
 for the whole process, over an explicit OPENBLAS_NUM_THREADS too.  The
-package gets its parallelism from its own threads; BLAS threads only
-contend with them and with other processes, and one thread fixes each
-product's summation order.  BLAS_PINNED says whether the pin took effect;
-without that library it is False and nothing is pinned.
+package gets its parallelism from its own threads and forked processes;
+BLAS threads only contend with them and with other processes, and one
+thread fixes each product's summation order.  BLAS_PINNED says whether
+the pin took effect; without that library it is False and nothing is
+pinned.
 """
 
 from __future__ import annotations

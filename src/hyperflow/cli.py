@@ -90,10 +90,12 @@ def _split_samples(prepared, split: str):
 
 def _load_model(checkpoint_path) -> tuple[Forecaster, NormStats, dict]:
     meta, tensors = load_checkpoint(checkpoint_path)
-    cfg = ModelConfig.from_json(meta["model"])
-    net = RoadNetwork(cfg.n_nodes, meta["edges"])
-    model = Forecaster(cfg, net, seed=0)
-    model.load_state(tensors)
+    try:
+        cfg = ModelConfig.from_json(meta["model"])
+        model = Forecaster(cfg, RoadNetwork(cfg.n_nodes, meta["edges"]), seed=0)
+        model.load_state(tensors)
+    except ValueError as err:  # name the file, as load_checkpoint's own errors do
+        raise ValueError(f"{checkpoint_path}: {err}") from err
     stats = NormStats(mean=np.array(meta["stats"]["mean"]), std=np.array(meta["stats"]["std"]))
     return model, stats, meta
 

@@ -160,7 +160,7 @@ class Forecaster:
     `params` maps each checkpoint name (see `init_params`) to its tensor;
     the forward pass looks every weight up there.  Each tensor's .data and
     .grad are views, in `init_params` order, into the float64 vectors `flat`
-    and `grad`, which the optimizer steps and zeroes in place.  The temporal
+    and `grad`; the optimizer steps `flat` in place from `grad`.  The temporal
     graphs depend only on the road network and the lookback, so they are
     built once and shared across every forward pass.
     """
@@ -181,11 +181,23 @@ class Forecaster:
         self.params = init_params(cfg, np.random.default_rng(seed))
         self.flat = np.concatenate([t.data.ravel() for t in self.params.values()])
         self.grad = np.zeros_like(self.flat)
-        start = 0
+        for t, view in zip(self.params.values(), self._views(self.flat)):
+            t.data = view
+        self.point_grads(self.grad)
+
+    def _views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's slice of a (P,) vector, shaped like it, in `init_params` order."""
+        views, start = [], 0
         for t in self.params.values():
-            stop = start + t.size
-            t.data, t.grad = self.flat[start:stop].reshape(t.shape), self.grad[start:stop].reshape(t.shape)
-            start = stop
+            views.append(vector[start:start + t.size].reshape(t.shape))
+            start += t.size
+        return views
+
+    def point_grads(self, grad: np.ndarray) -> None:
+        """Point every parameter's .grad at its slice of the (P,) vector `grad`,
+        such as `self.grad` or one chunk's gradient row in `training.fit`."""
+        for t, view in zip(self.params.values(), self._views(grad)):
+            t.grad = view
 
     def forward(self, x: np.ndarray, capture: dict | None = None) -> Tensor:
         """Predict the normalized flow horizon for one or several input windows.

@@ -10,20 +10,23 @@ number, not just a boolean.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable
+from unittest import mock
 
 import numpy as np
 
 from . import autodiff as ad
+from . import training
 from .autodiff import Tensor, finite_difference_check
-from .data import SignalTensor, make_windows
+from .data import NormStats, SignalTensor, make_windows
 from .encoder import encoder_layer
 from .graphs import RoadNetwork, temporal_graph
 from .hyperedges import hypergraph_block
 from .interaction import interaction_block
 from .model import Forecaster, ModelConfig, average
-from .training import Adam, mae_loss, predict_batch
+from .training import Adam, TrainConfig, fit, mae_loss, predict_batch
 
 
 @dataclass(frozen=True)
@@ -321,6 +324,36 @@ def check_threaded_predict(seed: int) -> list[OracleResult]:
     return [OracleResult("threaded_predict", "two_workers_bitwise", 1.0, float(differing))]
 
 
+def check_parallel_fit(seed: int) -> list[OracleResult]:
+    """`fit` on 2 processes against 1; observed is the number of parameter
+    and history entries whose bits differ, or all of them if the 2-process
+    run forked no worker.  2 epochs of 2 batches of 10 windows of 40
+    sensors, in chunks of 4, 4 and 2, the worker running the middle one.
+    Each run sets the usable CPU count that `fit` reads, so the worker is
+    forked on a one-CPU machine too."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    cfg = ModelConfig(n_nodes=n, lookback=12, horizon=3, width=8, n_hyperedges=4,
+                      windows=(1, 2, 3), encoder_layers=2, scale_iters=1)
+    net = random_net(rng, n, density=0.1)
+    init_seed = int(rng.integers(1 << 30))
+    samples = make_windows(SignalTensor(rng.normal(size=(38, n, 1))), cfg.lookback, cfg.horizon)
+    stats = NormStats(mean=np.zeros(1), std=np.ones(1))
+    runs, workers = [], []
+    for cpus in (1, 2):
+        model = Forecaster(cfg, net, seed=init_seed)
+        with mock.patch.object(training, "_usable_cpus", return_value=cpus):
+            result = fit(model, samples[:20], samples[20:], TrainConfig(epochs=2, batch_size=10, lr=0.01),
+                         stats=stats, on_epoch=lambda *_: workers.append(len(multiprocessing.active_children())))
+        runs.append((model.flat, [repr(v) for _, _, rep in result.history for v in rep.as_dict().values()]))
+    (flat, history), (flat2, history2) = runs
+    differing = (np.count_nonzero(flat.view(np.int64) != flat2.view(np.int64))
+                 + sum(a != b for a, b in zip(history, history2)) + abs(len(history) - len(history2)))
+    if workers != [0, 0, 1, 1]:  # one worker alive through each epoch of the 2-process run only
+        differing = flat.size + len(history)
+    return [OracleResult("parallel_fit", "two_processes_bitwise", 1.0, float(differing))]
+
+
 def run_verification(seed: int = 0) -> list[OracleResult]:
     results = []
     results += check_op_gradients(seed)
@@ -332,4 +365,5 @@ def run_verification(seed: int = 0) -> list[OracleResult]:
     results += check_fusion(seed + 6)
     results += check_adam(seed + 7)
     results += check_threaded_predict(seed + 8)
+    results += check_parallel_fit(seed + 9)
     return results

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import csv
-import functools
 import math
+import mmap
+import multiprocessing
 import os
+import signal
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -131,9 +135,6 @@ class Adam:
         self.t = 0
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
 
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-
     def step(self, grad_scale: float = 1.0) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -163,20 +164,17 @@ def _usable_cpus() -> int:
 
 
 # Chunk state entries (lookback * N * windows per chunk * width) from which
-# `predict_batch` runs its chunks on several threads and `fit` overlaps a
-# chunk's backward with the next chunk's forward; see their docstrings.
+# `predict_batch` runs its chunks on several threads; see its docstring.
 THREADED_STATE_ENTRIES = 50_000
 
 
 def chunk_workers(cfg, n_chunks: int) -> int:
-    """How many threads `n_chunks` chunks of one call run on.
+    """How many threads `predict_batch` runs `n_chunks` chunks on.
 
-    `predict_batch` runs its chunks on this many threads, and `fit`
-    overlaps each chunk's backward with the next forward when a batch gets
-    more than one.  One, unless a chunk's state holds at least
-    THREADED_STATE_ENTRIES entries and numpy's bundled OpenBLAS runs at one
-    thread (`autodiff.BLAS_PINNED`); then one per usable CPU, at most one
-    per chunk.
+    One, unless a chunk's state holds at least THREADED_STATE_ENTRIES
+    entries and numpy's bundled OpenBLAS runs at one thread
+    (`autodiff.BLAS_PINNED`); then one per usable CPU, at most one per
+    chunk.
     """
     entries = cfg.lookback * cfg.n_nodes * windows_per_chunk(cfg) * cfg.width
     if entries < THREADED_STATE_ENTRIES or not BLAS_PINNED:
@@ -219,27 +217,103 @@ def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
         return np.concatenate(list(pool.map(run, chunks)))
 
 
+def _shared(*shape: int) -> np.ndarray:
+    """A zeroed float64 array in anonymous shared memory: processes forked
+    after this call read and write the same entries."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size).reshape(shape)
+
+
+def _run_chunks(model, samples, jobs, rows, preds):
+    """Run each (chunk, sample indices, offset) job in turn: zero the chunk's
+    row of `rows` and point the parameters' .grad at it, record the forward
+    and the loss, write the predictions into `preds` from `offset`, and run
+    backward.  Returns (chunk, error) for the first job that raises, and
+    skips the rest, or None."""
+    for c, idx, offset in jobs:
+        try:
+            rows[c] = 0.0
+            model.point_grads(rows[c])
+            chunk = [samples[i] for i in idx]
+            with Tape() as tape:
+                pred = model.forward(np.stack([s.input for s in chunk]))
+                loss = mae_loss(pred, Tensor(np.stack([s.target for s in chunk])))
+            preds[offset:offset + len(chunk)] = pred.data
+            tape.backward(loss)
+        except Exception as err:
+            return c, err
+    return None
+
+
+def _serve(conn, parent_end, model, samples, params, rows, preds) -> None:
+    """A `fit` worker: per batch, load `params` into the model, run the jobs
+    it is sent and reply with `_run_chunks`'s result, until the pipe closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    parent_end.close()  # so that recv() sees the parent's end close
+    while True:
+        try:
+            jobs = conn.recv()
+        except EOFError:
+            return
+        model.flat[:] = params
+        conn.send(_run_chunks(model, samples, jobs, rows, preds))
+
+
+def _fork_worker(*args):
+    """A forked `_serve` worker over `args`, as (process, the parent's pipe end)."""
+    ctx = multiprocessing.get_context("fork")
+    mine, theirs = ctx.Pipe()
+    proc = ctx.Process(target=_serve, args=(theirs, mine, *args), daemon=True)
+    proc.start()
+    theirs.close()
+    return proc, mine
+
+
+def _reply(proc, conn):
+    """A worker's reply to its batch; RuntimeError if it exits without one."""
+    wait([conn, proc.sentinel])
+    try:
+        return conn.recv()  # a worker that has exited left EOF behind
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"fit worker {proc.pid} exited with code {proc.exitcode} during a batch") from None
+
+
+def _fit_processes(epochs: int, n_chunks: int) -> int:
+    """How many processes share `fit`'s chunks: one per usable CPU, at most
+    one per chunk of a batch.  One without epochs, without the `fork` start
+    method, in a daemonic process (such as a `multiprocessing.Pool` worker),
+    which may not start children, or while another thread runs, whose locks
+    a forked child would inherit held."""
+    if (epochs == 0 or threading.active_count() > 1 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return max(1, min(_usable_cpus(), n_chunks))
+
+
 def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=None) -> FitResult:
     """Mini-batch Adam on the MAE loss.
 
     Batches are reshuffled each epoch from a generator seeded by cfg.seed
     and run in chunks of `windows_per_chunk` windows, each chunk on its own
-    tape with the sum of its windows' losses, so a fixed seed reproduces
-    runs bit for bit.  Metric history is reported on de-normalized values
-    (via `stats`); the train row uses the predictions accumulated during
-    the epoch, the val row a dedicated pass.  Parameters with the best
-    validation MAE are restored at the end.  A non-finite value raises
-    RuntimeError naming the epoch and the batch or the validation pass.
+    tape with the sum of its windows' losses.  Each chunk's gradient fills
+    its own row of a (chunks, P) block, and the optimizer steps on the rows
+    summed in chunk order, so a fixed seed reproduces runs bit for bit
+    whichever process ran each chunk.  Metric history is reported on
+    de-normalized values (via `stats`); the train row uses the predictions
+    made during the epoch, the val row a dedicated `predict_batch` pass.
+    Parameters with the best validation MAE are restored at the end.  A
+    non-finite value raises RuntimeError naming the epoch and the batch
+    (the first failing chunk's error, in chunk order) or the validation pass.
 
-    When `chunk_workers` gives a batch more than one thread, each chunk's
-    backward runs on one helper thread while the calling thread records
-    the next chunk's forward.  A backward starts only once the one before
-    it has finished, and the batch's last one before the optimizer step,
-    so gradients accumulate in chunk order, no vjp reads a parameter the
-    step has written, and the run equals the serial loop bit for bit; an
-    error is the one the serial loop raises first.  The helper lives for
-    the batch.  Two tapes are held while they overlap, the running
-    backward's shrinking as it goes.
+    The chunks of a batch run on `_fit_processes` processes: synchronous
+    data parallelism with a fixed reduction order (Goyal et al. 2017,
+    arXiv 1706.02677).  The workers are forked for the call and inherit the
+    model and the samples copy-on-write.  Per batch the parent copies the
+    parameters into shared memory, and process k of p runs the chunks
+    c = k (mod p), the parent being process 0.  A worker that exits during
+    a batch raises RuntimeError naming its pid and exit code, and every
+    worker has ended when this returns or raises.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.flat, model.grad, lr=cfg.lr)
@@ -247,66 +321,66 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
     best_state = None
 
     size = windows_per_chunk(model.cfg)
+    largest = min(cfg.batch_size, len(train_samples))
+    n_chunks = -(-largest // size)
+    params = _shared(model.flat.size)
+    rows = _shared(n_chunks, model.flat.size)
+    preds = _shared(largest, model.cfg.horizon, model.cfg.n_nodes)
+    procs = _fit_processes(cfg.epochs, n_chunks)
+    workers = []
+    try:
+        for _ in range(procs - 1):
+            workers.append(_fork_worker(model, train_samples, params, rows, preds))
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(train_samples))
+            epoch_preds = []
+            for b0 in range(0, len(order), cfg.batch_size):
+                batch = order[b0:b0 + cfg.batch_size]
+                jobs = [(c, batch[i:i + size], i) for c, i in enumerate(range(0, len(batch), size))]
+                params[:] = model.flat
+                for k, (_, conn) in enumerate(workers, start=1):
+                    conn.send(jobs[k::procs])
+                failures = [_run_chunks(model, train_samples, jobs[::procs], rows, preds)]
+                failures += [_reply(proc, conn) for proc, conn in workers]
+                failures = [f for f in failures if f is not None]
+                if failures:
+                    _, err = min(failures, key=lambda f: f[0])
+                    if isinstance(err, NumericError):
+                        raise RuntimeError(
+                            f"non-finite value at epoch {epoch}, batch {b0 // cfg.batch_size}: {err}"
+                        ) from err
+                    raise err
+                np.copyto(model.grad, rows[0])
+                for row in rows[1:len(jobs)]:
+                    model.grad += row
+                opt.step(grad_scale=1.0 / len(batch))
+                result.steps += 1
+                epoch_preds.append(preds[:len(batch)].copy())
 
-    def forward(chunk):
-        """Record the chunk's forward and loss; return its backward."""
-        with Tape() as tape:
-            pred = model.forward(np.stack([s.input for s in chunk]))
-            loss = mae_loss(pred, Tensor(np.stack([s.target for s in chunk])))
-        epoch_preds.extend(pred.data)
-        return functools.partial(tape.backward, loss)
+            train_report = evaluate(stats.invert_flow(np.concatenate(epoch_preds)),
+                                    stats.invert_flow(np.stack([train_samples[i].target for i in order])))
+            result.history.append((epoch, "train", train_report))
 
-    def run_batch(batch):
-        chunks = _chunks(batch, size)
-        if chunk_workers(model.cfg, len(chunks)) == 1:
-            for chunk in chunks:
-                forward(chunk)()
-            return
-        with ThreadPoolExecutor(1) as helper:
-            running = None  # the previous chunk's backward
-            for chunk in chunks:
+            val_report = None
+            if val_samples:
                 try:
-                    backward = forward(chunk)
-                finally:
-                    if running is not None:  # the serial loop ran it before this forward
-                        running.result()
-                running = helper.submit(backward)
-            running.result()
-
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_samples))
-        epoch_preds, epoch_trues = [], []
-        for b0 in range(0, len(order), cfg.batch_size):
-            batch = [train_samples[i] for i in order[b0:b0 + cfg.batch_size]]
-            opt.zero_grad()
-            try:
-                run_batch(batch)
-            except NumericError as err:
-                raise RuntimeError(
-                    f"non-finite value at epoch {epoch}, batch {b0 // cfg.batch_size}: {err}"
-                ) from err
-            opt.step(grad_scale=1.0 / len(batch))
-            result.steps += 1
-            epoch_trues.extend(s.target for s in batch)
-
-        train_report = evaluate(stats.invert_flow(np.stack(epoch_preds)),
-                                stats.invert_flow(np.stack(epoch_trues)))
-        result.history.append((epoch, "train", train_report))
-
-        val_report = None
-        if val_samples:
-            try:
-                val_pred = predict_batch(model, val_samples)
-            except NumericError as err:
-                raise RuntimeError(f"non-finite value at epoch {epoch}, validation pass: {err}") from err
-            val_true = np.stack([s.target for s in val_samples])
-            val_report = evaluate(stats.invert_flow(val_pred), stats.invert_flow(val_true))
-            result.history.append((epoch, "val", val_report))
-            if result.best_val_mae is None or val_report.mae < result.best_val_mae:
-                result.best_val_mae = val_report.mae
-                best_state = model.flat.copy()
-        if on_epoch is not None:
-            on_epoch(epoch, train_report, val_report)
+                    val_pred = predict_batch(model, val_samples)
+                except NumericError as err:
+                    raise RuntimeError(f"non-finite value at epoch {epoch}, validation pass: {err}") from err
+                val_true = np.stack([s.target for s in val_samples])
+                val_report = evaluate(stats.invert_flow(val_pred), stats.invert_flow(val_true))
+                result.history.append((epoch, "val", val_report))
+                if result.best_val_mae is None or val_report.mae < result.best_val_mae:
+                    result.best_val_mae = val_report.mae
+                    best_state = model.flat.copy()
+            if on_epoch is not None:
+                on_epoch(epoch, train_report, val_report)
+    finally:
+        for proc, conn in workers:
+            conn.close()
+            proc.terminate()
+            proc.join()
+        model.point_grads(model.grad)
 
     if best_state is not None:
         model.flat[:] = best_state

@@ -295,8 +295,8 @@ def test_verify_passes_and_reports_families(capsys):
     assert rc == 0
     lines = [line for line in out.splitlines() if line.startswith("[")]
     families = {line.split("]")[1].split("/")[0].strip() for line in lines}
-    assert (len(lines), len(families)) == (26, 9)
-    assert "26 oracles in 9 families, 0 failures" in out
+    assert (len(lines), len(families)) == (27, 10)
+    assert "27 oracles in 10 families, 0 failures" in out
 
 
 def test_verify_corrupt_hook_fails_only_gradient_family(monkeypatch, capsys):
@@ -352,7 +352,22 @@ def test_predict_rejects_a_non_finite_checkpoint_by_tensor(synth_dir, trained_di
                "--edges", str(synth_dir / "edges.csv"),
                "--checkpoint", str(ckpt), "--out", str(out)])
     assert rc == 1 and not out.exists()
-    assert capsys.readouterr().err.splitlines() == ["error: readout_b: checkpoint holds non-finite values"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {ckpt}: readout_b: checkpoint holds non-finite values"]
+
+
+def test_predict_rejects_a_misshapen_checkpoint_tensor_by_path(synth_dir, trained_dir, tmp_path, capsys):
+    meta, tensors = load_checkpoint(trained_dir / "model.ckpt")
+    horizon = tensors["readout_b"].size
+    tensors["readout_b"] = np.zeros(horizon + 1)
+    ckpt = tmp_path / "shape.ckpt"
+    save_checkpoint(ckpt, meta, tensors)
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", "--data", str(synth_dir / "signals.bin"),
+               "--edges", str(synth_dir / "edges.csv"),
+               "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ckpt}: readout_b: checkpoint shape ({horizon + 1},) vs model ({horizon},)"]
 
 
 def test_failed_export_incidence_keeps_previous_csv(synth_dir, trained_dir, tmp_path,

@@ -1,3 +1,8 @@
+import collections
+import contextlib
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
@@ -8,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperflow as hf
 from hyperflow import oracles, training
-from hyperflow.autodiff import NumericError, Tape, Tensor
+from hyperflow.autodiff import NumericError, Tape, Tensor, record
 from hyperflow.model import Forecaster, ModelConfig
 from hyperflow.training import (
     Adam,
@@ -359,92 +364,112 @@ def test_fit_names_the_epoch_of_a_non_finite_validation_pass():
             stats=prep.stats)
 
 
-TAPE_BACKWARD = Tape.backward  # unwrapped, however often a test patches it
+# ---------------------------------------------------------------------------
+# fit on several processes
+
+FIT_STATS = hf.NormStats(mean=np.zeros(1), std=np.ones(1))
+FIT_CFG = TrainConfig(epochs=2, batch_size=12, lr=0.01, seed=3)
 
 
-def _force_overlap(monkeypatch, on: bool):
-    """Pass or fail `chunk_workers`'s size test, with 2 CPUs and OpenBLAS pinned."""
-    monkeypatch.setattr(training, "THREADED_STATE_ENTRIES", 0 if on else 10 ** 12)
-    monkeypatch.setattr(training, "BLAS_PINNED", True)
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+def _first_windows():
+    """The sample index of each chunk's first window in the first epoch of
+    `_fit_chunked`, by batch and chunk: fit's first draw from its generator
+    is that epoch's order."""
+    order = np.random.default_rng(FIT_CFG.seed).permutation(24)
+    return [[int(order[b0 + i]) for i in (0, 5, 10)] for b0 in (0, 12)]
 
 
-def _instrument_fit(monkeypatch, model, log, failing=(), sleep=0.0):
-    """Wrap every Tape.backward and model.forward call: it sleeps `sleep`
-    seconds (the GIL is free meanwhile), raises NumericError if `failing`
-    names it, as ("forward", k) or ("backward", k) counted from 0, and is
-    appended to `log` as (kind, thread, start, end)."""
-    calls = {"forward": 0, "backward": 0}
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise in the test, rather than hang it, once `seconds` have passed."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
 
-    def wrap(kind, call):
-        def wrapper(*args):
-            start = time.perf_counter()
-            k = calls[kind]
-            calls[kind] += 1
-            try:
-                time.sleep(sleep)
-                if (kind, k) in failing:
-                    raise NumericError(f"{kind} {k} failed")
-                return call(*args)
-            finally:
-                log.append((kind, threading.get_ident(), start, time.perf_counter()))
-        return wrapper
-
-    monkeypatch.setattr(Tape, "backward", wrap("backward", TAPE_BACKWARD))
-    monkeypatch.setattr(model, "forward", wrap("forward", model.forward))
-
-
-def _threads(log, kind):
-    return [thread for k, thread, _, _ in log if k == kind]
-
-
-def _overlapped(log):
-    """Whether a forward ran while a backward did."""
-    spans = {kind: [(start, end) for k, _, start, end in log if k == kind]
-             for kind in ("forward", "backward")}
-    return any(f0 < b1 and b0 < f1 for f0, f1 in spans["forward"] for b0, b1 in spans["backward"])
-
-
-def _fit_chunked(monkeypatch, overlap: bool, log: list, **instrument):
-    """Two epochs of two batches of 12 windows (chunks of 5, 5 and 2)."""
-    _force_overlap(monkeypatch, overlap)
-    model, samples = chunk_setup(seed=12)
-    _instrument_fit(monkeypatch, model, log, **instrument)
-    stats = hf.NormStats(mean=np.zeros(1), std=np.ones(1))
-    result = fit(model, samples[:24], samples[24:30],
-                 TrainConfig(epochs=2, batch_size=12, lr=0.01, seed=3), stats=stats)
-    return result, model.state()
-
-
-def test_overlapped_fit_equals_serial_bit_for_bit(monkeypatch):
-    serial_log, log = [], []
-    serial, serial_state = _fit_chunked(monkeypatch, False, serial_log, sleep=0.005)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
     try:
-        overlapped, state = _fit_chunked(monkeypatch, True, log, sleep=0.005)
+        yield
     finally:
-        sys.setswitchinterval(interval)
-    assert set(_threads(serial_log, "backward")) == {threading.get_ident()}
-    assert not _overlapped(serial_log)
-    backward_threads = _threads(log, "backward")
-    assert len(backward_threads) == 12 and threading.get_ident() not in backward_threads
-    assert _overlapped(log)
-    assert overlapped.history == serial.history
-    assert overlapped.best_val_mae == serial.best_val_mae
-    for name, arr in serial_state.items():
-        np.testing.assert_array_equal(state[name], arr, err_msg=name)
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlapped"])
-def test_parameters_stay_views_of_the_flat_vectors(monkeypatch, overlap):
-    # Adam writes model.flat in place, so a parameter rebound anywhere on
-    # either fit path would silently stop training.
-    _force_overlap(monkeypatch, overlap)
+def _log_forwards(monkeypatch, model, samples, log, on_forward=None):
+    """Make every forward of `model`, in whichever process runs it, append
+    its pid to `log`; on_forward(samples, x, pred) may replace its output."""
+    log.write_text("")
+    original = model.forward
+
+    def forward(x, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        pred = original(x, *args)
+        return pred if on_forward is None else on_forward(samples, x, pred)
+
+    monkeypatch.setattr(model, "forward", forward)
+
+
+def _fit_chunked(monkeypatch, tmp_path, processes: int, on_forward=None):
+    """Two epochs of two batches of 12 windows (chunks of 5, 5 and 2) with
+    `processes` usable CPUs, logging forwards as `_log_forwards` does.
+    Returns the result, the model and the pids of the forwards."""
+    monkeypatch.setattr(training, "_usable_cpus", lambda: processes)
     model, samples = chunk_setup(seed=12)
-    assert chunk_workers(model.cfg, 3) == (2 if overlap else 1)
-    fit(model, samples[:24], samples[24:30], TrainConfig(epochs=2, batch_size=12, lr=0.01, seed=3),
-        stats=hf.NormStats(mean=np.zeros(1), std=np.ones(1)))
+    log = tmp_path / "forwards.log"
+    _log_forwards(monkeypatch, model, samples, log, on_forward)
+    try:
+        with _deadline(60):
+            result = fit(model, samples[:24], samples[24:30], FIT_CFG, stats=FIT_STATS)
+    finally:
+        pids = [int(line) for line in log.read_text().split()]
+        assert multiprocessing.active_children() == []
+    return result, model, pids
+
+
+def test_fit_on_several_processes_equals_one_bit_for_bit(monkeypatch, tmp_path):
+    one, one_model, one_pids = _fit_chunked(monkeypatch, tmp_path, 1)
+    assert set(one_pids) == {os.getpid()}
+    for processes in (2, 3):  # 3: more processes than this machine may have cores
+        result, model, pids = _fit_chunked(monkeypatch, tmp_path, processes)
+        # 4 batches of 3 chunks and a 1-window validation pass per epoch;
+        # worker k runs chunk k of each batch.
+        workers = collections.Counter(pid for pid in pids if pid != os.getpid())
+        assert len(pids) == 14 and list(workers.values()) == [4] * (processes - 1)
+        assert result.history == one.history
+        assert result.best_val_mae == one.best_val_mae
+        assert model.flat.tobytes() == one_model.flat.tobytes()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_fit_steps_on_per_chunk_gradients_summed_in_chunk_order(monkeypatch, processes):
+    # At lr 0 the parameters stay put, so the gradient fit leaves behind,
+    # its last batch's, can be recomputed chunk by chunk.
+    monkeypatch.setattr(training, "_usable_cpus", lambda: processes)
+    model, samples = chunk_setup(seed=13)
+    train = samples[:12]  # one batch per epoch, in chunks of 5, 5 and 2
+    fit(model, train, [], TrainConfig(epochs=2, batch_size=12, lr=0.0, seed=4), stats=FIT_STATS)
+    rng = np.random.default_rng(4)
+    rng.permutation(12)
+    order = rng.permutation(12)  # the second epoch's
+    expected = None
+    for start in (0, 5, 10):
+        chunk = [train[i] for i in order[start:start + 5]]
+        row = np.zeros_like(model.grad)
+        model.point_grads(row)
+        with Tape() as tape:
+            loss = mae_loss(model.forward(np.stack([s.input for s in chunk])),
+                            Tensor(np.stack([s.target for s in chunk])))
+        tape.backward(loss)
+        expected = row if expected is None else expected + row
+    assert model.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("processes", [1, 2], ids=["serial", "two_processes"])
+def test_parameters_stay_views_of_the_flat_vectors(monkeypatch, tmp_path, processes):
+    # Adam writes model.flat in place, and each chunk points the gradients
+    # at its own row, so a parameter left rebound would silently stop training.
+    _, model, pids = _fit_chunked(monkeypatch, tmp_path, processes)
+    assert len(set(pids)) == processes
     start = 0
     for name, p in model.params.items():  # in init_params order, back to back
         for view, vector in ((p.data, model.flat), (p.grad, model.grad)):
@@ -456,41 +481,103 @@ def test_parameters_stay_views_of_the_flat_vectors(monkeypatch, overlap):
     assert twin.flat.tobytes() == model.flat.tobytes()
 
 
-def test_fit_below_threshold_runs_every_backward_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(training, "BLAS_PINNED", True)
+@pytest.mark.parametrize("blocker", ["thread", "one_cpu"])
+def test_fit_forks_nothing_beside_another_thread_or_on_one_cpu(monkeypatch, tmp_path, blocker):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if blocker == "thread":
+        other.start()
+    try:
+        _, _, pids = _fit_chunked(monkeypatch, tmp_path, 2 if blocker == "thread" else 1)
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join()
+    assert set(pids) == {os.getpid()}
+
+
+def test_fit_in_a_daemonic_process_runs_there(monkeypatch, tmp_path):
+    # A multiprocessing.Pool worker is daemonic, and a daemonic process may
+    # not start children.
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
-    model, samples = chunk_setup(seed=12)  # 14,400 state entries
-    assert chunk_workers(model.cfg, 3) == 1
-    log = []
-    _instrument_fit(monkeypatch, model, log)
-    before = threading.active_count()
-    fit(model, samples[:12], [], TrainConfig(epochs=1, batch_size=12, seed=0),
-        stats=hf.NormStats(mean=np.zeros(1), std=np.ones(1)))
-    assert _threads(log, "backward") == [threading.get_ident()] * 3
-    assert threading.active_count() == before
+    model, samples = chunk_setup(seed=12)
+    log = tmp_path / "forwards.log"
+    _log_forwards(monkeypatch, model, samples, log)
+    proc = multiprocessing.get_context("fork").Process(
+        target=fit, args=(model, samples[:24], [], FIT_CFG), kwargs={"stats": FIT_STATS}, daemon=True)
+    proc.start()
+    try:
+        proc.join(60)
+        assert not proc.is_alive() and proc.exitcode == 0
+    finally:
+        proc.kill()
+        proc.join()
+    assert set(log.read_text().split()) == {str(proc.pid)}
 
 
-@pytest.mark.parametrize("failing, message", [
-    # a backward on the helper thread
-    ({("backward", 1)}, "batch 0: backward 1 failed"),
-    # a forward while the previous backward is in flight
-    ({("forward", 2)}, "batch 0: forward 2 failed"),
-    # both: the serial loop ran the backward first
-    ({("backward", 1), ("forward", 2)}, "batch 0: backward 1 failed"),
-    # the batch's last backward, drained before the optimizer step
-    ({("backward", 5)}, "batch 1: backward 5 failed"),
-])
-def test_overlapped_fit_raises_the_serial_error_and_joins(monkeypatch, failing, message):
-    before = threading.active_count()
+def _failing_chunks(failing, log):
+    """An on_forward hook for `_fit_chunked`: the chunk whose first window is
+    sample j raises NumericError in its forward for ("forward", j) in
+    `failing`, and in its backward for ("backward", j).  Each failure
+    appends "pid kind j" to `log`."""
+    def hook(samples, x, pred):
+        j = next(i for i, s in enumerate(samples) if np.array_equal(s.input, x[0]))
+
+        def fail(kind):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {kind} {j}\n")
+            raise NumericError(f"{kind} of window {j} failed")
+
+        if ("forward", j) in failing:
+            fail("forward")
+        if ("backward", j) not in failing:
+            return pred
+        return record(pred.data, "failing_probe", (pred,), lambda g: fail("backward"))
+    return hook
+
+
+@pytest.mark.parametrize("failing, first", [
+    ({("backward", 0, 0)}, ("backward", 0, 0)),  # the parent's chunk
+    ({("forward", 0, 1)}, ("forward", 0, 1)),  # the worker's chunk
+    ({("forward", 0, 2), ("backward", 0, 1)}, ("backward", 0, 1)),  # both, the worker's first
+    ({("backward", 0, 0), ("forward", 0, 1)}, ("backward", 0, 0)),  # both, the parent's first
+    ({("backward", 1, 1)}, ("backward", 1, 1)),  # the worker's, in the second batch
+], ids=["parent_chunk", "worker_chunk", "both_worker_first", "both_parent_first", "second_batch"])
+def test_fit_raises_the_first_chunk_error_and_joins(monkeypatch, tmp_path, failing, first):
+    firsts = _first_windows()
+    keyed = {(kind, firsts[b][c]) for kind, b, c in failing}
     errors = []
-    for overlap in (False, True):
-        log = []
+    for processes in (1, 2):
+        log = tmp_path / f"failures{processes}.log"
+        log.write_text("")
         with pytest.raises(RuntimeError) as info:
-            _fit_chunked(monkeypatch, overlap, log, failing=failing, sleep=0.02)
+            _fit_chunked(monkeypatch, tmp_path, processes, on_forward=_failing_chunks(keyed, log))
         errors.append(str(info.value))
-        assert threading.active_count() == before
-        assert _overlapped(log) == overlap
-    assert errors[0] == errors[1] == f"non-finite value at epoch 0, {message}"
+    kind, b, c = first
+    assert errors[0] == errors[1] == (f"non-finite value at epoch 0, batch {b}: "
+                                      f"{kind} of window {firsts[b][c]} failed")
+    # With two processes the worker runs chunk 1 and the parent chunks 0 and 2.
+    ran = {(kind, int(j)): int(pid) for pid, kind, j in (line.split() for line in log.read_text().splitlines())}
+    assert all((ran[kind, firsts[b][c]] == os.getpid()) == (c != 1)
+               for kind, b, c in failing if (kind, firsts[b][c]) in ran)
+    assert (first[0], firsts[b][c]) in ran
+
+
+def test_fit_raises_when_a_worker_dies_mid_batch(monkeypatch, tmp_path):
+    parent = os.getpid()
+    dead = tmp_path / "dead.pid"
+
+    def die_in_the_worker(samples, x, pred):
+        if os.getpid() != parent:
+            dead.write_text(str(os.getpid()))
+            os._exit(7)
+        return pred
+
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as info:
+        _fit_chunked(monkeypatch, tmp_path, 2, on_forward=die_in_the_worker)
+    assert time.perf_counter() - start < 30
+    assert str(info.value) == f"fit worker {dead.read_text()} exited with code 7 during a batch"
 
 
 def test_history_csv_format(tmp_path):
