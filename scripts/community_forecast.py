@@ -17,7 +17,7 @@ import numpy as np
 import hyperflow as hf
 from hyperflow.hyperedges import community_cosines, write_incidence_csv
 from hyperflow.model import Forecaster, ModelConfig
-from hyperflow.training import TrainConfig, evaluate, fit, ha_baseline, predict_batch
+from hyperflow.training import TrainConfig, evaluate, fit, ha_baseline, predict_batch, score
 
 
 def main():
@@ -56,8 +56,8 @@ def main():
         TrainConfig(epochs=args.epochs, batch_size=32, lr=args.lr, seed=args.seed),
         stats=prep.stats, on_epoch=progress)
 
+    model_rep = score(predict_batch(model, prep.test), prep.test, prep.stats)
     test_true = prep.stats.invert_flow(np.stack([s.target for s in prep.test]))
-    model_rep = evaluate(prep.stats.invert_flow(predict_batch(model, prep.test)), test_true)
     ha_rep = evaluate(np.stack([ha_baseline(prep.stats.invert_flow(s.input[:, :, 0]), 12)
                                 for s in prep.test]), test_true)
 

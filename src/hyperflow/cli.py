@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -25,12 +23,10 @@ from .graphs import RoadNetwork
 from .hyperedges import write_incidence_csv
 from .model import Forecaster, ModelConfig
 from .oracles import run_verification
-from .training import TrainConfig, evaluate, fit, predict_batch, write_history_csv
+from .training import TrainConfig, fit, predict_batch, score, write_history_csv
 
 # Errors that `main` reports as one `error: ...` line and exit code 1.
 _CLEAN_ERRORS = (ValueError, KeyError, OSError, RuntimeError, NumericError)
-# Thread-count variables of the BLAS builds numpy may load; `bench` pins them to 1.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # The sizes `bench` times: T over t_grid at base_n sensors, then N over n_grid
 # at t_fixed steps, with edges_per_node random out-edges per sensor.
 BENCH_GRID = {"t_grid": (6, 12, 24, 48), "n_grid": (50, 100, 200, 400), "base_n": 80, "t_fixed": 12,
@@ -122,9 +118,7 @@ def cmd_train(args) -> int:
     result = fit(model, prepared.train, prepared.val, train_cfg, stats=prepared.stats,
                  on_epoch=report)
 
-    test_pred = prepared.stats.invert_flow(predict_batch(model, prepared.test))
-    test_true = prepared.stats.invert_flow(np.stack([s.target for s in prepared.test]))
-    test_report = evaluate(test_pred, test_true)
+    test_report = score(predict_batch(model, prepared.test), prepared.test, prepared.stats)
 
     meta = {
         "model": cfg.to_json(),
@@ -161,9 +155,7 @@ def _prepare_for_checkpoint(args):
 def cmd_eval(args) -> int:
     model, stats, prepared = _prepare_for_checkpoint(args)
     samples = _split_samples(prepared, args.split)
-    pred = stats.invert_flow(predict_batch(model, samples))
-    true = stats.invert_flow(np.stack([s.target for s in samples]))
-    report = evaluate(pred, true)
+    report = score(predict_batch(model, samples), samples, stats)
     print(json.dumps({"split": args.split, **report.as_dict()}, sort_keys=True))
     return 0
 
@@ -232,80 +224,52 @@ def _bench_model(n: int, t: int, width: int, edges_per_node: int, rng) -> tuple[
     return model, x, len(net.edges)
 
 
-def _bench_measure(spec: dict) -> dict:
-    """Time every grid point and the width doubling; runs in the bench child process.
+def _bench_measure(grid: dict, d: int, repeats: int, seed: int) -> tuple[list, float]:
+    """Time every point of `grid` and the width doubling in this process:
+    (n, t, nnz, seconds) rows and the doubled width's time ratio.
 
     The points are timed in turn, `repeats` passes over all of them, each
     keeping its fastest call, so a slow or fast stretch of the machine
     reaches every point, not just the few it would bend the slopes through.
+    The slopes also measure the process: after a long training run the
+    small points stop page-faulting while the large ones do not, and a
+    multi-threaded BLAS splits only the larger products.  So `bench` times
+    in its own fresh process, with OpenBLAS held to one thread at import.
     """
-    rng = np.random.default_rng(spec["seed"])
-    d, base_n, t_fixed = spec["d"], spec["base_n"], spec["t_fixed"]
-    points = ([(base_n, t, d) for t in spec["t_grid"]] + [(n, t_fixed, d) for n in spec["n_grid"]]
+    rng = np.random.default_rng(seed)
+    base_n, t_fixed = grid["base_n"], grid["t_fixed"]
+    points = ([(base_n, t, d) for t in grid["t_grid"]] + [(n, t_fixed, d) for n in grid["n_grid"]]
               + [(base_n, t_fixed, d), (base_n, t_fixed, 2 * d)])
-    built = [_bench_model(n, t, width, spec["edges_per_node"], rng) for n, t, width in points]
+    built = [_bench_model(n, t, width, grid["edges_per_node"], rng) for n, t, width in points]
     for model, x, _ in built:
         model.predict(x)  # warmup
     best = [float("inf")] * len(built)
-    for _ in range(spec["repeats"]):
+    for _ in range(repeats):
         for i, (model, x, _) in enumerate(built):
             start = time.perf_counter()
             model.predict(x)
             best[i] = min(best[i], time.perf_counter() - start)
     rows = [(n, t, nnz, sec) for (n, t, _), (_, _, nnz), sec in zip(points[:-2], built, best)]
-    return {"rows": rows, "ratio_d": best[-1] / best[-2]}
-
-
-def _bench_child(spec_json: str) -> int:
-    """Entry point of the child process: measurements as one JSON line on stdout."""
-    try:
-        measured = _bench_measure(json.loads(spec_json))
-    except _CLEAN_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    print(json.dumps(measured))
-    return 0
-
-
-def _run_bench_child(spec: dict) -> dict:
-    # A fresh process with one BLAS thread: forward time in the calling
-    # process depends on its heap history (after a long training run small
-    # sizes stop page-faulting, large ones do not) and, under a BLAS build
-    # that the import-time OpenBLAS pin does not reach, on BLAS splitting
-    # only the larger products across cores, both of which bend the slopes.
-    env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
-    package_root = str(Path(__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys; from hyperflow.cli import _bench_child; sys.exit(_bench_child(sys.argv[1]))"
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(spec)],
-                          cwd=package_root, env=env, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        lines = proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"]
-        errors = [line for line in lines if line.startswith("error: ")]
-        raise RuntimeError(errors[-1][len("error: "):] if errors else f"bench process failed: {lines[-1]}")
-    sys.stderr.write(proc.stderr)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return rows, best[-1] / best[-2]
 
 
 def cmd_bench(args) -> int:
-    # Built here, not in the child, so the child times the grid this process sees.
-    spec = {**BENCH_GRID, "d": args.d, "repeats": args.repeats, "seed": args.seed}
-    measured = _run_bench_child(spec)
-    rows = measured["rows"]
+    grid = BENCH_GRID
+    rows, ratio_d = _bench_measure(grid, args.d, args.repeats, args.seed)
 
     with atomic_open(args.out, "w", newline="") as fh:
         fh.write("n,t,nnz,seconds\n")
         for n, t, nnz, sec in rows:
             fh.write(f"{n},{t},{nnz},{sec!r}\n")
 
-    t_rows = rows[:len(spec["t_grid"])]
-    n_rows = rows[len(spec["t_grid"]):]
+    t_rows = rows[:len(grid["t_grid"])]
+    n_rows = rows[len(grid["t_grid"]):]
     slope_t = float(np.polyfit(np.log([r[1] for r in t_rows]), np.log([r[3] for r in t_rows]), 1)[0])
     slope_nnz = float(np.polyfit(np.log([r[2] for r in n_rows]), np.log([r[3] for r in n_rows]), 1)[0])
 
     print(f"slope_t={slope_t:.3f}")
     print(f"slope_nnz={slope_nnz:.3f}")
-    print(f"d_double_time_ratio={measured['ratio_d']:.3f}")
+    print(f"d_double_time_ratio={ratio_d:.3f}")
     print(f"wrote {args.out}")
     return 0
 
@@ -382,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time forward passes over size grids and fit log-log scaling slopes. "
                     "The grid is fixed: T in {t_grid} at N={base_n}, then N in {n_grid} at "
                     "T={t_fixed}, with {edges_per_node} random out-edges per sensor. "
-                    "The timings come from a fresh Python process with one BLAS thread, so "
-                    "neither the caller's heap history nor BLAS splitting only the larger "
-                    "products across cores bends the slopes.".format(**BENCH_GRID))
+                    "The command times in its own process, where importing hyperflow holds "
+                    "numpy's bundled OpenBLAS to one thread; under another BLAS build set "
+                    "OMP_NUM_THREADS and MKL_NUM_THREADS to 1, since BLAS threads that split "
+                    "only the larger products bend the slopes.".format(**BENCH_GRID))
     p.add_argument("--out", required=True, help="timing CSV path")
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--repeats", type=int, default=3,

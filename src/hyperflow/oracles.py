@@ -302,6 +302,19 @@ def check_adam(seed: int) -> list[OracleResult]:
     return [OracleResult("adam", "closed_form_step", 1e-12, float(np.max(np.abs(p - expected))))]
 
 
+def _parallel_setup(seed: int, steps: int):
+    """The model config, random net, init seed and standard-normal windows
+    over `steps` steps of 40 sensors that the two parallel oracles share."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    cfg = ModelConfig(n_nodes=n, lookback=12, horizon=3, width=8, n_hyperedges=4,
+                      windows=(1, 2, 3), encoder_layers=2, scale_iters=1)
+    net = random_net(rng, n, density=0.1)
+    init_seed = int(rng.integers(1 << 30))
+    samples = make_windows(SignalTensor(rng.normal(size=(steps, n, 1))), cfg.lookback, cfg.horizon)
+    return cfg, net, init_seed, samples
+
+
 def check_threaded_predict(seed: int) -> list[OracleResult]:
     """`predict_batch` forced onto 2 threads against its serial path;
     observed is the number of output entries whose bits differ.  10
@@ -312,12 +325,8 @@ def check_threaded_predict(seed: int) -> list[OracleResult]:
     per-window `predict` to about 1e-12, not bit for bit (the unit tests
     hold it to that).
     """
-    rng = np.random.default_rng(seed)
-    n = 40
-    cfg = ModelConfig(n_nodes=n, lookback=12, horizon=3, width=8, n_hyperedges=4,
-                      windows=(1, 2, 3), encoder_layers=2, scale_iters=1)
-    model = Forecaster(cfg, random_net(rng, n, density=0.1), seed=int(rng.integers(1 << 30)))
-    samples = make_windows(SignalTensor(rng.normal(size=(24, n, 1))), cfg.lookback, cfg.horizon)
+    cfg, net, init_seed, samples = _parallel_setup(seed, steps=24)
+    model = Forecaster(cfg, net, seed=init_seed)
     serial = predict_batch(model, samples, workers=1)
     threaded = predict_batch(model, samples, workers=2)
     differing = int(np.count_nonzero(threaded != serial)) if threaded.shape == serial.shape else serial.size
@@ -331,13 +340,7 @@ def check_parallel_fit(seed: int) -> list[OracleResult]:
     sensors, in chunks of 4, 4 and 2, the worker running the middle one.
     Each run sets the usable CPU count that `fit` reads, so the worker is
     forked on a one-CPU machine too."""
-    rng = np.random.default_rng(seed)
-    n = 40
-    cfg = ModelConfig(n_nodes=n, lookback=12, horizon=3, width=8, n_hyperedges=4,
-                      windows=(1, 2, 3), encoder_layers=2, scale_iters=1)
-    net = random_net(rng, n, density=0.1)
-    init_seed = int(rng.integers(1 << 30))
-    samples = make_windows(SignalTensor(rng.normal(size=(38, n, 1))), cfg.lookback, cfg.horizon)
+    cfg, net, init_seed, samples = _parallel_setup(seed, steps=38)
     stats = NormStats(mean=np.zeros(1), std=np.ones(1))
     runs, workers = [], []
     for cpus in (1, 2):

@@ -100,6 +100,12 @@ def evaluate(y_pred: np.ndarray, y_true: np.ndarray) -> MetricReport:
     return MetricReport(mae=mae, rmse=rmse, mape=mape)
 
 
+def score(pred: np.ndarray, samples, stats) -> MetricReport:
+    """`evaluate` of normalized predictions against the samples' targets,
+    both de-normalized by `stats`."""
+    return evaluate(stats.invert_flow(pred), stats.invert_flow(np.stack([s.target for s in samples])))
+
+
 def split_dataset(samples: list) -> tuple[list, list, list]:
     """Chronological 60/20/20 split over window start order.
 
@@ -184,7 +190,7 @@ def chunk_workers(cfg, n_chunks: int) -> int:
 
 def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
     """Stacked (n, horizon, N) normalized predictions, no recording,
-    `windows_per_chunk` windows per forward.
+    `windows_per_chunk` windows per forward; (0, horizon, N) for no samples.
 
     The chunks run on `workers` threads (by default `chunk_workers`), in
     a pool that lives for the call.  The output keeps the order of
@@ -205,6 +211,8 @@ def predict_batch(model, samples, workers: int | None = None) -> np.ndarray:
         115k-159k             1.76-1.88x  (CLI default config, N=207: 159k)
     """
     chunks = _chunks(list(samples), windows_per_chunk(model.cfg))
+    if not chunks:
+        return np.empty((0, model.cfg.horizon, model.cfg.n_nodes))
     if workers is None:
         workers = chunk_workers(model.cfg, len(chunks))
 
@@ -304,7 +312,8 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
     made during the epoch, the val row a dedicated `predict_batch` pass.
     Parameters with the best validation MAE are restored at the end.  A
     non-finite value raises RuntimeError naming the epoch and the batch
-    (the first failing chunk's error, in chunk order) or the validation pass.
+    (the first failing chunk's error, in chunk order) or the validation pass;
+    a call with epochs but no training window raises ValueError.
 
     The chunks of a batch run on `_fit_processes` processes: synchronous
     data parallelism with a fixed reduction order (Goyal et al. 2017,
@@ -315,6 +324,8 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
     a batch raises RuntimeError naming its pid and exit code, and every
     worker has ended when this returns or raises.
     """
+    if cfg.epochs and len(train_samples) == 0:
+        raise ValueError(f"fit got no training windows for epochs={cfg.epochs}")
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.flat, model.grad, lr=cfg.lr)
     result = FitResult()
@@ -357,8 +368,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
                 result.steps += 1
                 epoch_preds.append(preds[:len(batch)].copy())
 
-            train_report = evaluate(stats.invert_flow(np.concatenate(epoch_preds)),
-                                    stats.invert_flow(np.stack([train_samples[i].target for i in order])))
+            train_report = score(np.concatenate(epoch_preds), [train_samples[i] for i in order], stats)
             result.history.append((epoch, "train", train_report))
 
             val_report = None
@@ -367,8 +377,7 @@ def fit(model, train_samples, val_samples, cfg: TrainConfig, stats, on_epoch=Non
                     val_pred = predict_batch(model, val_samples)
                 except NumericError as err:
                     raise RuntimeError(f"non-finite value at epoch {epoch}, validation pass: {err}") from err
-                val_true = np.stack([s.target for s in val_samples])
-                val_report = evaluate(stats.invert_flow(val_pred), stats.invert_flow(val_true))
+                val_report = score(val_pred, val_samples, stats)
                 result.history.append((epoch, "val", val_report))
                 if result.best_val_mae is None or val_report.mae < result.best_val_mae:
                     result.best_val_mae = val_report.mae

@@ -1,8 +1,23 @@
 import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hyperflow.checkpoint
+
+
+def run_python(*args, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports the hyperflow under test.
+
+    The child gets this process's environment with the `env` pairs on top
+    and PYTHONPATH set to the package's root; its output is captured as text.
+    """
+    src_root = str(Path(hyperflow.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env={**os.environ, **dict(env), "PYTHONPATH": src_root},
+                          capture_output=True, text=True, **kwargs)
 
 
 class _FillingFile:

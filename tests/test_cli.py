@@ -3,13 +3,11 @@ import io
 import json
 import os
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hyperflow
 import hyperflow.cli
 import hyperflow.oracles
 from hyperflow.checkpoint import load_checkpoint, save_checkpoint
@@ -18,6 +16,8 @@ from hyperflow.data import NormStats, ingest, prepare_dataset
 from hyperflow.graphs import RoadNetwork
 from hyperflow.model import Forecaster, ModelConfig
 from hyperflow.training import predict_batch, windows_per_chunk
+
+from conftest import run_python
 
 
 TINY = ["--d", "8", "--hyperedges", "4", "--windows", "1,2", "--lp", "1", "--ls", "1",
@@ -429,7 +429,7 @@ def test_bench_writes_csv_and_slopes(tmp_path, monkeypatch, capsys):
     assert set(rows[0]) == {"n", "t", "nnz", "seconds"}
 
 
-def test_bench_child_error_is_a_clean_error(tmp_path, monkeypatch, capsys):
+def test_bench_error_is_a_clean_error(tmp_path, monkeypatch, capsys):
     # the windows 1,2,3 of the bench model do not divide a lookback of 5
     small_bench_grid(monkeypatch, t_grid=(5, 10))
     rc = main(["bench", "--out", str(tmp_path / "bench.csv"), "--d", "8", "--repeats", "1",
@@ -457,10 +457,7 @@ def run_community_script(*args) -> subprocess.CompletedProcess:
     # The scripts reach the package only through imports; running one end to
     # end makes an API change break a test instead of the script.
     script = Path(__file__).resolve().parents[1] / "scripts" / "community_forecast.py"
-    src_root = str(Path(hyperflow.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, str(script), *args],
-                          env=dict(os.environ, PYTHONPATH=src_root), capture_output=True, text=True,
-                          timeout=120)
+    return run_python(str(script), *args, timeout=120)
 
 
 def test_community_forecast_script_rejects_one_community(tmp_path):

@@ -1,21 +1,18 @@
 import hashlib
-import os
-import subprocess
 import sys
 import textwrap
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hyperflow
 from hyperflow.autodiff import Tape, Tensor, window_max_rows
 from hyperflow.graphs import RoadNetwork
 from hyperflow.model import Forecaster, ModelConfig, forecast_head, fuse_scales
 from hyperflow.oracles import live_path_point, model_gradient_errors, random_net
 
+from conftest import run_python
 from reference_model import reference_forward
 
 
@@ -247,9 +244,7 @@ def test_repeated_predict_reuses_heap_pages():
             model.predict(x)
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
     """)
-    src_root = str(Path(hyperflow.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src_root),
-                          capture_output=True, text=True, check=True)
+    proc = run_python("-c", code, check=True)
     assert float(proc.stdout) < 100
 
 

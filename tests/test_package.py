@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import hyperflow
 from hyperflow.autodiff import BLAS_PINNED
+
+from conftest import run_python
 
 # Prints the thread count of numpy's bundled OpenBLAS after importing hyperflow.
 _BLAS_THREADS_AFTER_IMPORT = """
@@ -27,8 +24,6 @@ def test_every_exported_name_resolves():
 @pytest.mark.skipif(not BLAS_PINNED, reason="numpy's bundled OpenBLAS is not loadable")
 def test_import_holds_openblas_to_one_thread():
     # A fresh interpreter, so that OpenBLAS starts from the environment's count.
-    src_root = str(Path(hyperflow.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER_IMPORT],
-                         env=dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src_root),
-                         capture_output=True, text=True, check=True, timeout=60)
+    out = run_python("-c", _BLAS_THREADS_AFTER_IMPORT, env={"OPENBLAS_NUM_THREADS": "2"},
+                     check=True, timeout=60)
     assert out.stdout.split() == ["1"]

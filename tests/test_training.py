@@ -24,6 +24,7 @@ from hyperflow.training import (
     ha_baseline,
     mae_loss,
     predict_batch,
+    score,
     split_dataset,
     windows_per_chunk,
     write_history_csv,
@@ -224,6 +225,21 @@ def test_predict_batch_matches_per_window_predict():
     np.testing.assert_allclose(predict_batch(model, samples), expected, rtol=0, atol=1e-12)
 
 
+def test_predict_batch_of_no_samples_is_empty():
+    model, _ = chunk_setup(seed=7)
+    out = predict_batch(model, [])
+    assert out.shape == (0, model.cfg.horizon, model.cfg.n_nodes) and out.dtype == np.float64
+
+
+def test_score_is_evaluate_on_denormalized_values():
+    model, samples = chunk_setup(seed=7)
+    samples = samples[:7]
+    stats = hf.NormStats(mean=np.array([50.0]), std=np.array([12.5]))
+    pred = predict_batch(model, samples)
+    expected = evaluate(stats.invert_flow(pred), stats.invert_flow(np.stack([s.target for s in samples])))
+    assert score(pred, samples, stats) == expected
+
+
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_threaded_predict_oracle(seed):
     (result,) = oracles.check_threaded_predict(seed)
@@ -304,6 +320,19 @@ def test_fit_zero_epochs_returns_initial_parameters():
     assert result.history == [] and result.steps == 0
     for name, arr in model.state().items():
         np.testing.assert_array_equal(arr, before[name])
+
+
+def test_fit_without_training_windows_raises_before_any_work(monkeypatch):
+    model, samples, stats = overfit_setup()
+    before = model.flat.copy()
+    with monkeypatch.context() as m:
+        m.setattr(training, "_shared", lambda *shape: pytest.fail("allocated a shared block"))
+        m.setattr(training, "_fork_worker", lambda *args: pytest.fail("forked a worker"))
+        with pytest.raises(ValueError, match="no training windows for epochs=1"):
+            fit(model, [], samples, TrainConfig(epochs=1), stats=stats)
+    np.testing.assert_array_equal(model.flat, before)
+    result = fit(model, [], samples, TrainConfig(epochs=0), stats=stats)  # nothing to run
+    assert result.history == [] and result.steps == 0
 
 
 def test_fit_zero_lr_keeps_parameters():
